@@ -42,8 +42,11 @@ class CliError(Exception):
 
 def _read_instance(args) -> InstanceFile:
     if args.input:
-        with open(args.input) as handle:
-            payload = json.load(handle)
+        try:
+            with open(args.input) as handle:
+                payload = json.load(handle)
+        except OSError as exc:
+            raise CliError(f"cannot read input: {exc}")
     else:
         text = sys.stdin.read()
         if not text.strip():

@@ -1,16 +1,28 @@
 """Buchberger engine over prime fields, for smoothness certificates.
 
 Degrevlex only.  Pair selection follows the normal strategy refined by
-sugar degree; the coprimality criterion and the chain criterion prune
-pairs.  Prime fields only: coefficient growth over the rationals is a
-deliberate non-goal, and smoothness over the rationals is certified by a
-good prime reduction instead (upper-semicontinuity of singular loci).
+sugar degree (Giovini, Mora, Niesi, Robbiano, Traverso 1991); the
+coprimality criterion and the chain criterion prune pairs.  Prime fields
+only: coefficient growth over the rationals is a deliberate non-goal, and
+smoothness over the rationals is certified by a good prime reduction
+instead (upper-semicontinuity of singular loci).
+
+``buchberger`` computes each basis element's leading monomial once, when
+the element is appended, and each pair's key ``(sugar, degrevlex of the
+lcm)`` once, when the pair is inserted.  Pairs go into a set in the order
+(1,0), (2,0), (2,1), ..., (n,k) for k < n, and ``min`` over that set picks
+the next pair, so the selection order and its tie-breaks, the S-pairs
+reduced and every intermediate basis are those of the engine that
+recomputed every key at every step (kept as the oracle of the
+differential test in ``tests/test_groebner.py``).  A heap of pairs or
+Gebauer-Moeller pair installation would be faster still, but both change
+which pairs get reduced, and are deliberately not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .fields import Field, PrimeField
 from .poly import Monomial, MultiPoly
@@ -108,23 +120,32 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
     variables = gens[0].variables
     basis: List[MultiPoly] = []
     sugar: List[int] = []
-    for g in gens:
+    leads: List[Monomial] = []
+    pairs: Set[Tuple[int, int]] = set()
+    keys: Dict[Tuple[int, int], tuple] = {}  # pair -> (sugar, degrevlex of lcm)
+
+    def append(g: MultiPoly, s: int) -> None:
+        n = len(basis)
         basis.append(g)
-        sugar.append(g.total_degree())
+        sugar.append(s)
+        leads.append(leading_monomial(g))
+        for k in range(n):
+            lcm = monomial_lcm(leads[n], leads[k])
+            pair = (n, k)
+            keys[pair] = (max(sugar[n] + sum(lcm) - sum(leads[n]),
+                              sugar[k] + sum(lcm) - sum(leads[k])),
+                          degrevlex_key(lcm))
+            pairs.add(pair)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-
-    def pair_key(pair):
-        i, j = pair
-        lcm = monomial_lcm(leading_monomial(basis[i]), leading_monomial(basis[j]))
-        s = max(sugar[i] + sum(lcm) - sum(leading_monomial(basis[i])),
-                sugar[j] + sum(lcm) - sum(leading_monomial(basis[j])))
-        return (s, degrevlex_key(lcm))
+    for g in gens:
+        append(g, g.total_degree())
 
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        li, lj = leading_monomial(basis[i]), leading_monomial(basis[j])
+        pair = min(pairs, key=keys.__getitem__)
+        pairs.discard(pair)
+        pair_sugar = keys.pop(pair)[0]
+        i, j = pair
+        li, lj = leads[i], leads[j]
         lcm = monomial_lcm(li, lj)
         if monomial_mul(li, lj) == lcm:
             continue  # coprime leading terms reduce to zero
@@ -133,7 +154,7 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if monomial_divides(leading_monomial(basis[k]), lcm):
+            if monomial_divides(leads[k], lcm):
                 pik = (max(i, k), min(i, k))
                 pjk = (max(j, k), min(j, k))
                 if pik not in pairs and pjk not in pairs:
@@ -145,13 +166,7 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
         r = normal_form(s, basis)
         if r.is_zero():
             continue
-        new_sugar = max(sugar[i] + sum(lcm) - sum(li),
-                        sugar[j] + sum(lcm) - sum(lj))
-        basis.append(r)
-        sugar.append(max(new_sugar, r.total_degree()))
-        new_index = len(basis) - 1
-        for k in range(new_index):
-            pairs.add((new_index, k))
+        append(r, max(pair_sugar, r.total_degree()))
 
     return GroebnerBasis(field, variables, _autoreduce(basis))
 

@@ -36,11 +36,16 @@ class Matrix:
 
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: Field, data: Sequence[Sequence[Element]]):
+    def __init__(self, field: Field, data: Sequence[Sequence[Element]],
+                 cols: Optional[int] = None):
+        """``cols`` gives the column count when ``data`` has no rows (0 by
+        default); with rows, it must match their length."""
         self.field = field
         self.data: List[List[Element]] = [list(row) for row in data]
         self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
+        if cols is None:
+            cols = len(self.data[0]) if self.data else 0
+        self.cols = cols
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
@@ -50,7 +55,7 @@ class Matrix:
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -156,7 +161,7 @@ class Matrix:
                         acc = k.add(acc, k.mul(a, b))
                 new.append(acc)
             out.append(new)
-        return Matrix(k, out)
+        return Matrix(k, out, other.cols)
 
     def _mul_rational(self, other: "Matrix") -> "Matrix":
         left = [_integer_row(row) for row in self.data]
@@ -165,7 +170,7 @@ class Matrix:
         for a, da in left:
             out.append([Fraction(sum(map(mul, a, b)), da * db)
                         for b, db in right])
-        return Matrix(self.field, out)
+        return Matrix(self.field, out, other.cols)
 
     def apply_to_vector(self, v: Sequence[Element]) -> List[Element]:
         k = self.field

@@ -218,6 +218,15 @@ def test_missing_input_reports_usage_error(capsys):
     assert "no input instance" in err
 
 
+@pytest.mark.parametrize("argv", [["smooth", "check"], ["gale", "dual"],
+                                  ["lagrangian", "from-gale", "--choice-of-L", "1"]])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, argv):
+    for path in (tmp_path / "missing.json", tmp_path):   # absent; a directory
+        code, out, err = run_cli(capsys, argv + ["-i", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read input:") and err.count("\n") == 1
+
+
 def test_invariants_selftest_command(capsys):
     code, out, _ = run_cli(capsys, ["invariants", "selftest"])
     assert code == 0 and json.loads(out)["sigma_identity"]

@@ -189,7 +189,7 @@ SPARSE_RATIONALS = st.one_of(st.just(Fraction(0)), SMALL_RATIONALS)
 
 def _rational_matrix(draw, rows, cols, entries):
     return Matrix(QQ, [[draw(entries) for _ in range(cols)]
-                       for _ in range(rows)])
+                       for _ in range(rows)], cols)
 
 
 @st.composite
@@ -242,9 +242,23 @@ def test_rational_rref_matches_generic_zero_and_thin(m):
 def test_rational_product_matches_generic(data):
     rows, inner, cols = data.draw(st.sampled_from(
         [(6, 12, 6), (12, 6, 6), (10, 20, 10), (20, 10, 10), (10, 10, 10),
-         (1, 7, 1), (7, 1, 7), (1, 1, 1)]))
+         (1, 7, 1), (7, 1, 7), (1, 1, 1),
+         (0, 3, 2), (0, 6, 12), (3, 0, 2), (2, 3, 0), (0, 0, 0)]))
     a = _rational_matrix(data.draw, rows, inner, SPARSE_RATIONALS)
     b = _rational_matrix(data.draw, inner, cols, SPARSE_RATIONALS)
     fast, slow = a * b, a._mul_generic(b)
+    assert (fast.rows, fast.cols) == (slow.rows, slow.cols) == (rows, cols)
     assert fast.data == slow.data
     assert all(type(x) is Fraction for row in fast.data for x in row)
+
+
+@pytest.mark.parametrize("k", [QQ, PrimeField(101)])
+def test_zero_row_matrix_keeps_its_columns(k):
+    empty = Matrix.zero(k, 0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    product = empty * Matrix.zero(k, 3, 2)
+    assert (product.rows, product.cols) == (0, 2)
+    with pytest.raises(ValueError):
+        empty * Matrix.zero(k, 2, 2)
+    with pytest.raises(ValueError):
+        Matrix(k, [[k.one()]], cols=2)
