@@ -332,6 +332,24 @@ def cmd_selftest_all(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other invalid input: one
+    ``error:`` line on stderr and exit code 2 (subparsers inherit this)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", help="instance file (default stdin)")
@@ -339,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", help="field descriptor, e.g. rationals, "
                                         "prime:97, cyclotomic3:101")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=int, default=20)
+    common.add_argument("--samples", type=_positive_int, default=20)
     common.add_argument("--choice-of-L", dest="choice_of_l", type=int,
                         default=1, choices=(1, 2, 3))
     common.add_argument("--params", help="a,b,c,d,l for the group family")
@@ -348,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--probe", action="store_true",
                         help="run the equivariance probe in 'a4 verify'")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galecubics",
         description="Exact computations for Gale dual cubic fourfolds")
     sub = parser.add_subparsers(dest="command")

@@ -28,8 +28,7 @@ from .fields import Element, Field, PrimeField
 from .gale import NonSyzygeticEquation
 from .lagrangian import RhoLagrangianData
 from .linalg import Matrix
-from .poly import (MultiPoly, lagrange_interpolate, univariate_from_coeffs,
-                   univariate_gcd)
+from .poly import MultiPoly, univariate_from_coeffs
 
 
 @dataclass(frozen=True)
@@ -148,88 +147,24 @@ def pairing_matrix(data: RhoLagrangianData, covector: Sequence[Element]) -> Matr
     return Matrix(field, rows)
 
 
-def _minor_schedule(pivot_set: Optional[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Deterministic stream of column subsets of size 10 out of 15: a pivot
-    basis first, then its single-column exchanges, then all remaining
-    subsets in lexicographic order.  Exchange neighbours of an actual basis
-    kill accidental common factors far faster than arbitrary subsets, many
-    of which are identically dependent along the pencil."""
-    from itertools import combinations
-    seen = []
-    seen_set = set()
-
-    def push(subset):
-        if subset not in seen_set:
-            seen_set.add(subset)
-            seen.append(subset)
-
-    if pivot_set is not None:
-        push(pivot_set)
-        complement = [b for b in range(15) if b not in pivot_set]
-        for a in pivot_set:
-            for b in complement:
-                push(tuple(sorted(set(pivot_set) - {a} | {b})))
-    for subset in combinations(range(15), 10):
-        push(subset)
-    return seen
-
-
 def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
-                    var: str = "t", initial_minors: int = 8,
-                    max_minors: int = 16) -> MultiPoly:
-    """Monic gcd of a deterministic batch of 10x10 minors of the pairing
-    matrix along the pencil p0 + t*p1; degree 6 for generic inputs, the
-    zero polynomial when the whole pencil lies in the degeneracy locus.
+                    var: str = "t") -> MultiPoly:
+    """The determinant divisor of the pairing matrix along the pencil
+    p0 + t*p1: the monic gcd of its 10x10 minors, degree 6 for generic
+    inputs (lower when p1 itself is a membership point, the missing roots
+    sitting at t = infinity), and the zero polynomial when the whole pencil
+    lies in the degeneracy locus.
 
-    At least ``initial_minors`` nonzero minors enter the gcd; the batch then
-    keeps growing while the degree exceeds six and stops once it has been
-    stable at six or below for a few consecutive minors (or the cap is
-    reached, which signals a degenerate instance to the caller)."""
-    field = data.field
+    It is computed exactly, by unimodular elimination over k[t], which
+    leaves the gcd of the maximal minors unchanged.  An earlier version
+    took the gcd of a batch of at most 16 minors interpolated from
+    samples, but on random pencils over GF(101) that gcd reached degree 6
+    only after about 56 nonzero minors, so every call ended in this
+    elimination anyway and the batch was dropped."""
     if p0.same_point(p1):
         raise ValueError("coincident points do not span a pencil")
-    samples = _sample_points(field, 11)
-    # entries are linear in t: two evaluations determine the whole pencil
-    m0 = pairing_matrix(data, p0.coords)
-    msum = pairing_matrix(data, [field.add(a, b)
-                                 for a, b in zip(p0.coords, p1.coords)])
-    mdiff = msum - m0
-    matrices = []
-    for t in samples:
-        matrices.append(Matrix(field, [
-            [field.add(m0.data[i][j], field.mul(t, mdiff.data[i][j]))
-             for j in range(15)] for i in range(10)]))
-    pivot_set: Optional[Tuple[int, ...]] = None
-    for mat in matrices:
-        _, pivots = mat.rref()
-        if len(pivots) == 10:
-            pivot_set = tuple(pivots)
-            break
-    gcd_coeffs: Optional[List[Element]] = None
-    nonzero = 0
-    for subset in _minor_schedule(pivot_set):
-        if nonzero >= max_minors:
-            break
-        values = []
-        for t, mat in zip(samples, matrices):
-            minor = mat.submatrix(range(10), subset)
-            values.append((t, minor.det()))
-        coeffs = lagrange_interpolate(field, values)
-        if not coeffs:
-            continue  # identically zero minor contributes nothing
-        nonzero += 1
-        gcd_coeffs = coeffs if gcd_coeffs is None else univariate_gcd(
-            field, gcd_coeffs, coeffs)
-        if nonzero >= initial_minors and (len(gcd_coeffs) - 1) <= 6:
-            break
-    if gcd_coeffs is None:
-        return MultiPoly.zero(field, (var,))
-    if len(gcd_coeffs) - 1 > 6:
-        # residual spurious factors: settle it exactly with the determinant
-        # divisor, which is by definition the gcd of all maximal minors
-        exact = _determinant_divisor_on_pencil(data, p0, p1)
-        gcd_coeffs = exact if exact else gcd_coeffs
-    return univariate_from_coeffs(field, var, gcd_coeffs)
+    return univariate_from_coeffs(data.field, var,
+                                  _determinant_divisor_on_pencil(data, p0, p1))
 
 
 def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
@@ -299,12 +234,6 @@ def _trim_coeffs(field: Field, coeffs: List[Element]) -> List[Element]:
     while out and field.is_zero(out[-1]):
         out.pop()
     return out
-
-
-def _sample_points(field: Field, n: int) -> List[Element]:
-    if isinstance(field, PrimeField) and field.p < n:
-        raise ValueError("field too small for interpolation")
-    return [field.from_int(i) for i in range(n)]
 
 
 def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,

@@ -165,8 +165,11 @@ class RationalField(Field):
     def from_json(self, data):
         if isinstance(data, str):
             num, _, den = data.partition("/")
-            return Fraction(int(num), int(den) if den else 1)
-        if isinstance(data, int):
+            den = int(den) if den else 1
+            if den == 0:
+                raise ValueError(f"zero denominator in {data!r}")
+            return Fraction(int(num), den)
+        if isinstance(data, int) and not isinstance(data, bool):
             return Fraction(data)
         raise ValueError(f"cannot parse rational from {data!r}")
 
@@ -264,6 +267,11 @@ class PrimeField(Field):
         return a % self.p
 
     def from_json(self, data):
+        """An ``int`` or decimal string, reduced mod p; ``bool`` and
+        ``float`` are refused rather than truncated."""
+        if isinstance(data, bool) or not isinstance(data, (int, str)):
+            raise ValueError(f"cannot parse an element of {self.descriptor} "
+                             f"from {data!r}")
         return int(data) % self.p
 
 

@@ -18,12 +18,19 @@ unique, so the integer path returns exactly the matrix and pivots of the
 generic one (``_rref_generic``, ``_mul_generic``, kept as differential
 oracles), and every kernel, canonical basis and serialised output built
 on it is unchanged.  Every other field uses the generic path.
+
+``rank`` needs only the pivot count, so outside the rationals it runs
+forward elimination alone (eliminate below each pivot; no normalising, no
+back-substitution), and above 4x4 ``det`` over a field of positive
+characteristic takes the signed product of the same pivots.  Rank and
+determinant are unique, so neither depends on the route.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Optional, Sequence
@@ -79,17 +86,19 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and (self.rows, self.cols) == (other.rows, other.cols)
             and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.data)))
+        return hash((self.field, self.rows, self.cols,
+                     tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field.descriptor})"
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data)
+        return Matrix(self.field, self.data, self.cols)
 
     def column(self, j: int) -> List[Element]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -98,21 +107,24 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)])
+        return Matrix(self.field, [self.column(j) for j in range(self.cols)],
+                      self.rows)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
         ci = list(col_idx)
-        return Matrix(self.field, [[self.data[i][j] for j in ci] for i in row_idx])
+        return Matrix(self.field, [[self.data[i][j] for j in ci] for i in row_idx],
+                      len(ci))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix(self.field, [self.data[i] + other.data[i] for i in range(self.rows)])
+        return Matrix(self.field, [self.data[i] + other.data[i] for i in range(self.rows)],
+                      self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix(self.field, self.data + other.data)
+        return Matrix(self.field, self.data + other.data, self.cols)
 
     def is_zero(self) -> bool:
         k = self.field
@@ -123,22 +135,22 @@ class Matrix:
         return Matrix(k, [
             [k.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ])
+        ], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         k = self.field
         return Matrix(k, [
             [k.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ])
+        ], self.cols)
 
     def __neg__(self) -> "Matrix":
         k = self.field
-        return Matrix(k, [[k.neg(a) for a in row] for row in self.data])
+        return Matrix(k, [[k.neg(a) for a in row] for row in self.data], self.cols)
 
     def scale(self, c: Element) -> "Matrix":
         k = self.field
-        return Matrix(k, [[k.mul(c, a) for a in row] for row in self.data])
+        return Matrix(k, [[k.mul(c, a) for a in row] for row in self.data], self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -250,12 +262,51 @@ class Matrix:
         return Matrix(self.field, out), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Number of pivots: forward elimination only (no pivot scaling, no
+        back-elimination), except over the rationals, whose integer ``rref``
+        is already the cheaper route."""
+        if isinstance(self.field, RationalField):
+            return len(self._rref_rational()[1])
+        return len(self._echelon_pivots()[1])
+
+    def _echelon_pivots(self) -> tuple[bool, List[Element]]:
+        """Forward Gaussian elimination on a copy, with the first nonzero
+        pivot in column order and elimination below the pivot only.
+        Returns whether the row swaps made an odd permutation, and the
+        pivot values in order."""
+        k = self.field
+        is_zero, mul, sub = k.is_zero, k.mul, k.sub
+        m = [row[:] for row in self.data]
+        odd = False
+        pivots: List[Element] = []
+        r = 0
+        for c in range(self.cols):
+            if r == self.rows:
+                break
+            pivot_row = next((i for i in range(r, self.rows)
+                              if not is_zero(m[i][c])), None)
+            if pivot_row is None:
+                continue
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                odd = not odd
+            prow = m[r]
+            inv = k.inv(prow[c])
+            for i in range(r + 1, self.rows):
+                row = m[i]
+                if is_zero(row[c]):
+                    continue
+                f = mul(inv, row[c])
+                for j in range(c + 1, self.cols):
+                    row[j] = sub(row[j], mul(f, prow[j]))
+            pivots.append(prow[c])
+            r += 1
+        return odd, pivots
 
     def row_space(self) -> "Matrix":
         """Canonical basis of the row space (nonzero rows of the RREF)."""
         red, pivots = self.rref()
-        return Matrix(self.field, red.data[: len(pivots)])
+        return Matrix(self.field, red.data[: len(pivots)], self.cols)
 
     def kernel_basis(self) -> "Matrix":
         """Columns spanning the kernel, in the canonical RREF convention.
@@ -303,40 +354,22 @@ class Matrix:
     # -- determinants and pfaffians -------------------------------------
 
     def det(self) -> Element:
-        """Determinant: cofactor expansion up to 4x4; above that, Gaussian
-        elimination over prime fields (inversions are the expensive step
-        there, so divide at pivots only) and fraction-free Bareiss
+        """Determinant: cofactor expansion up to 4x4; above that, the signed
+        product of the forward-elimination pivots in positive
+        characteristic (one inversion per pivot) and fraction-free Bareiss
         elimination otherwise (controls intermediate growth exactly)."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         if self.rows <= 4:
             return det_cofactor(self.field, self.data)
         if self.field.characteristic > 0:
-            return self._det_gauss()
+            k = self.field
+            odd, pivots = self._echelon_pivots()
+            if len(pivots) < self.rows:
+                return k.zero()    # a column without a pivot
+            det = reduce(k.mul, pivots, k.one())
+            return k.neg(det) if odd else det
         return self._det_bareiss()
-
-    def _det_gauss(self) -> Element:
-        k = self.field
-        n = self.rows
-        m = [row[:] for row in self.data]
-        det = k.one()
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if not k.is_zero(m[i][c])), None)
-            if pivot is None:
-                return k.zero()
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = k.neg(det)
-            det = k.mul(det, m[c][c])
-            inv = k.inv(m[c][c])
-            for i in range(c + 1, n):
-                if k.is_zero(m[i][c]):
-                    continue
-                f = k.mul(inv, m[i][c])
-                row_i, row_c = m[i], m[c]
-                for j in range(c + 1, n):
-                    row_i[j] = k.sub(row_i[j], k.mul(f, row_c[j]))
-        return det
 
     def _det_bareiss(self) -> Element:
         k = self.field

@@ -212,6 +212,28 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("params", ["1/0,1,1,1,1", "1.5,1,1,1,1", "1,x,1,1,1"])
+def test_malformed_params_exit_2_with_one_line(capsys, params):
+    code, out, err = run_cli(capsys, ["a4", "emit", "--field", "rationals",
+                                      "--params", params])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "two"])
+def test_samples_must_be_positive(capsys, tmp_path, value):
+    payload, _ = sample_instance(5, sign=1)
+    src = tmp_path / "eq.json"
+    src.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["epw", "harvest", "-i", str(src), "--samples", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: argument --samples:")
+    assert out.err.count("\n") == 1
+
+
 def test_missing_input_reports_usage_error(capsys):
     code, _, err = run_cli(capsys, ["gale", "dual"], stdin="")
     assert code == 2

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,13 +7,16 @@ from galecubics.epw import (EPWPoint, LineCorrespondenceError,
                             ProjectiveSubspace, conic_covector, epw_contains,
                             epw_line_degree, epw_points_on_line, epw_to_lines,
                             fano_tuple, harvest_epw_points, line_to_epw,
-                            pi_gamma, residual_conic, rho_plane_condition,
+                            pairing_matrix, pi_gamma, residual_conic,
+                            rho_plane_condition,
                             sigma_plane_point, sigma_planes_disjoint,
                             sigma_prime_plane_point)
 from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation
 from galecubics.lagrangian import lagrangian_from_gale
 from galecubics.linalg import Matrix
+from galecubics.poly import (lagrange_interpolate, univariate_coeffs,
+                             univariate_gcd)
 
 
 FIELD = PrimeField(101)
@@ -123,20 +127,76 @@ def test_line_inside_plane_gives_zero_polynomial():
     assert epw_line_degree(data, p0, p1).is_zero()
 
 
+def _minor_schedule(pivot_set):
+    """Column subsets of size 10 out of 15: a pivot basis first, then its
+    single-column exchanges, then all remaining subsets in lexicographic
+    order (exchange neighbours of a basis kill accidental common factors
+    fastest)."""
+    seen = {}
+    if pivot_set is not None:
+        seen[pivot_set] = None
+        complement = [b for b in range(15) if b not in pivot_set]
+        for a in pivot_set:
+            for b in complement:
+                seen[tuple(sorted(set(pivot_set) - {a} | {b}))] = None
+    for subset in combinations(range(15), 10):
+        seen[subset] = None
+    return list(seen)
+
+
+def minor_gcd_oracle(data, p0, p1, degree):
+    """Running monic gcd of the 10x10 minors of the pairing matrix along
+    p0 + t*p1, each interpolated from its values at t = 0..10, taken until
+    the gcd has the given degree or every subset has been used.  Test-only:
+    an independent route to the determinant divisor."""
+    field = data.field
+    samples = [field.from_int(t) for t in range(11)]
+    m0 = pairing_matrix(data, p0.coords)
+    mdiff = pairing_matrix(data, [field.add(a, b) for a, b in
+                                  zip(p0.coords, p1.coords)]) - m0
+    matrices = [m0 + mdiff.scale(t) for t in samples]
+    pivot_set = None
+    for mat in matrices:
+        _, pivots = mat.rref()
+        if len(pivots) == 10:
+            pivot_set = tuple(pivots)
+            break
+    gcd = []
+    for subset in _minor_schedule(pivot_set):
+        values = [(t, mat.submatrix(range(10), subset).det())
+                  for t, mat in zip(samples, matrices)]
+        gcd = univariate_gcd(field, gcd,
+                             lagrange_interpolate(field, values))
+        if gcd and len(gcd) - 1 == degree:
+            break
+    return gcd
+
+
 def test_line_degree_matches_determinant_divisor():
-    # dual route: the minor-gcd polynomial must equal the determinant
-    # divisor computed by unimodular elimination over the polynomial ring
-    from galecubics.epw import _determinant_divisor_on_pencil
-    from galecubics.poly import univariate_coeffs
-    eq, data, rng = make_instance(22)
-    for _ in range(3):
-        p0 = EPWPoint.make(FIELD, [FIELD.random(rng) for _ in range(6)])
-        p1 = EPWPoint.make(FIELD, [FIELD.random(rng) for _ in range(6)])
-        if p0.same_point(p1):
-            continue
-        via_minors = univariate_coeffs(epw_line_degree(data, p0, p1))
-        via_elimination = _determinant_divisor_on_pencil(data, p0, p1)
-        assert via_minors == via_elimination
+    # the determinant divisor (unimodular elimination over k[t]) against the
+    # gcd of the maximal minors themselves
+    pencils = []
+    for seed in (22, 23):
+        eq, data, rng = make_instance(seed)
+        for _ in range(3):
+            p0 = EPWPoint.make(FIELD, [FIELD.random(rng) for _ in range(6)])
+            p1 = EPWPoint.make(FIELD, [FIELD.random(rng) for _ in range(6)])
+            pencils.append((data, p0, p1))
+        # p1 on the locus: a root at t = infinity, degree five
+        member = next(pt for t, pt in epw_points_on_line(data, p0, p1)
+                      if t is not None)
+        pencils.append((data, p0, member))
+        # through a point of either coordinate plane at t = 0 (the oracle
+        # needs about 1,900 subsets on the first, 152 on the second)
+        plane_point = sigma_plane_point if seed == 22 else sigma_prime_plane_point
+        pencils.append((data, plane_point(FIELD, [3, 1, 4]), p1))
+    degrees = []
+    for data, p0, p1 in pencils:
+        coeffs = univariate_coeffs(epw_line_degree(data, p0, p1))
+        degrees.append(len(coeffs) - 1)
+        assert coeffs == minor_gcd_oracle(data, p0, p1, len(coeffs) - 1)
+    assert degrees.count(6) >= 8 and degrees.count(5) >= 2
+    assert degrees[3::5] == [5, 5]
 
 
 def test_line_through_plane_point_has_that_root():

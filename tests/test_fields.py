@@ -126,3 +126,21 @@ def test_parse_field_descriptors():
     assert parse_field("cyclotomic3:97").descriptor == "prime:97"
     for field in ALL_FIELDS:
         assert parse_field(field.descriptor) == field
+
+
+def test_from_json_is_strict():
+    k = PrimeField(97)
+    assert k.from_json(200) == 6 and k.from_json(-1) == 96    # ints reduce mod p
+    assert k.from_json("5") == 5
+    for bad in (True, False, 1.5, 2.0, None, [1], "1/2", "x"):
+        with pytest.raises(ValueError):
+            k.from_json(bad)
+    assert QQ.from_json("3/6") == Fraction(1, 2) and QQ.from_json(-4) == -4
+    for bad in ("1/0", "0/0", True, 1.5, None, "a/b"):
+        with pytest.raises(ValueError):
+            QQ.from_json(bad)
+    ext = cyclotomic3(PrimeField(101))
+    with pytest.raises(ValueError):
+        ext.from_json([1, 1.5])
+    with pytest.raises(ValueError):
+        cyclotomic3(QQ).from_json(["1/0", "1"])

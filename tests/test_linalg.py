@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galecubics.fields import QQ, PrimeField
+from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.linalg import (Matrix, det_cofactor, intersect_column_spans,
                                pfaffian4, same_column_span)
 
@@ -80,12 +80,88 @@ def naive_row_reduce_rank(field, data):
     return rank
 
 
+def _sparse_random(field, rows, cols, rng):
+    """Random entries, about a third of them zero."""
+    z = field.zero()
+    return Matrix(field, [[z if rng.random() < 0.35 else field.random(rng)
+                           for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def _rank_deficient(field, rows, cols, rng):
+    """A product (rows x r) * (r x cols) with r below min(rows, cols); the
+    sparse right factor leaves some columns without a pivot."""
+    r = rng.randrange(min(rows, cols))
+    if r == 0:
+        return Matrix.zero(field, rows, cols)
+    return Matrix.random(field, rows, r, rng) * _sparse_random(field, r, cols, rng)
+
+
+RANK_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(101),
+               cyclotomic3(PrimeField(5)), cyclotomic3(QQ)]
+
+
 def test_rank_against_independent_reduction():
     field = PrimeField(101)
     rng = random.Random(13)
     for _ in range(30):
         m = Matrix.random(field, 5, 8, rng)
         assert m.rank() == naive_row_reduce_rank(field, m.data)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda f: f.descriptor)
+def test_rank_by_forward_elimination_matches_rref(field):
+    rng = random.Random(29)
+    cases = [Matrix.zero(field, 0, 10), Matrix.zero(field, 10, 0),
+             Matrix.zero(field, 0, 0), Matrix.zero(field, 6, 12)]
+    for rows, cols in [(15, 10), (10, 15), (10, 10), (6, 12)]:
+        for _ in range(3):
+            cases.append(_rank_deficient(field, rows, cols, rng))
+        cases.append(_sparse_random(field, rows, cols, rng))
+    deficient = 0
+    for m in cases:
+        rank = m.rank()
+        assert rank == len(m.rref()[1]) == naive_row_reduce_rank(field, m.data)
+        deficient += rank < min(m.rows, m.cols)
+    assert deficient >= 12
+
+
+def det_gauss_oracle(k, data):
+    """Determinant by forward elimination, verbatim the loop ``det`` ran on
+    its own before it shared one elimination with ``rank``."""
+    n = len(data)
+    m = [row[:] for row in data]
+    det = k.one()
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not k.is_zero(m[i][c])), None)
+        if pivot is None:
+            return k.zero()
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = k.neg(det)
+        det = k.mul(det, m[c][c])
+        inv = k.inv(m[c][c])
+        for i in range(c + 1, n):
+            if k.is_zero(m[i][c]):
+                continue
+            f = k.mul(inv, m[i][c])
+            row_i, row_c = m[i], m[c]
+            for j in range(c + 1, n):
+                row_i[j] = k.sub(row_i[j], k.mul(f, row_c[j]))
+    return det
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), cyclotomic3(PrimeField(5))],
+                         ids=lambda f: f.descriptor)
+def test_det_matches_gauss_oracle(field):
+    rng = random.Random(31)
+    singular = 0
+    for n in range(5, 13):
+        for m in (_sparse_random(field, n, n, rng), Matrix.random(field, n, n, rng),
+                  _rank_deficient(field, n, n, rng)):
+            det = m.det()
+            assert det == det_gauss_oracle(field, m.data)
+            singular += field.is_zero(det)
+    assert singular >= 8
 
 
 def test_det_examples():
@@ -262,3 +338,25 @@ def test_zero_row_matrix_keeps_its_columns(k):
         empty * Matrix.zero(k, 2, 2)
     with pytest.raises(ValueError):
         Matrix(k, [[k.one()]], cols=2)
+
+
+def test_empty_dimensions_survive():
+    k = QQ
+    assert (Matrix.zero(k, 3, 0).transpose().rows,
+            Matrix.zero(k, 3, 0).transpose().cols) == (0, 3)
+    m = Matrix.identity(k, 4)
+    sub = m.submatrix([], [0, 2, 3])
+    assert (sub.rows, sub.cols) == (0, 3)
+    empty = Matrix.zero(k, 0, 3)
+    for same in (empty.copy(), empty.vstack(empty), -empty, empty + empty,
+                 empty.scale(k.one()), empty.row_space(), Matrix.zero(k, 3, 3).row_space()):
+        assert (same.rows, same.cols) == (0, 3)
+    both = empty.hstack(Matrix.zero(k, 0, 2))
+    assert (both.rows, both.cols) == (0, 5)
+    assert Matrix.zero(k, 0, 3) != Matrix.zero(k, 0, 2)
+    assert Matrix.zero(k, 2, 0) != Matrix.zero(k, 3, 0)
+    assert Matrix.zero(k, 0, 3) == Matrix.zero(k, 0, 3)
+    assert hash(Matrix.zero(k, 0, 3)) == hash(Matrix.zero(k, 0, 3))
+    assert len({Matrix.zero(k, 0, 3), Matrix.zero(k, 0, 2), Matrix.zero(k, 0, 3)}) == 2
+    from galecubics.serialize import matrix_to_json
+    assert matrix_to_json(empty) == [] == matrix_to_json(Matrix.zero(k, 0, 2))
