@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from .exterior import (GRADE2_PAIRS, GRADE4_QUADS, ExteriorElement,
@@ -778,24 +779,36 @@ def decomposable_vector_check(data: RhoLagrangianData,
 
 def _sparse_column_rank(field: Field, columns, cap: int) -> int:
     """Rank of a set of sparse columns (dict keyed by row label), stopping
-    early once the cap is reached."""
+    early once the cap is reached.  Each column is eliminated from its
+    smallest label up; the live labels wait in a heap, and a label popped
+    after it cancelled is skipped."""
     pivots = {}
     rank = 0
     for col in columns:
         work = dict(col)
-        while work:
-            label = min(work)
+        heap = list(work)
+        heapify(heap)
+        while heap:
+            label = heappop(heap)
+            if label not in work:
+                continue
             if label in pivots:
                 factor = work.pop(label)
+                # a pivot row holds only labels above its own
                 for plabel, pval in pivots[label].items():
                     if plabel == label:
                         continue
-                    acc = field.sub(work.get(plabel, field.zero()),
-                                    field.mul(factor, pval))
-                    if field.is_zero(acc):
-                        work.pop(plabel, None)
+                    if plabel in work:
+                        acc = field.sub(work[plabel], field.mul(factor, pval))
+                        if field.is_zero(acc):
+                            del work[plabel]
+                        else:
+                            work[plabel] = acc
                     else:
-                        work[plabel] = acc
+                        acc = field.sub(field.zero(), field.mul(factor, pval))
+                        if not field.is_zero(acc):
+                            work[plabel] = acc
+                            heappush(heap, plabel)
             else:
                 inv = field.inv(work[label])
                 pivots[label] = {k: field.mul(inv, v) for k, v in work.items()}

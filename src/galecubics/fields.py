@@ -413,6 +413,8 @@ def cyclotomic3(base: Field) -> Field:
 
 def parse_field(descriptor: str) -> Field:
     """Parse descriptors such as ``rationals``, ``prime:97``, ``cyclotomic3:101``."""
+    if not isinstance(descriptor, str):
+        raise ValueError(f"field descriptor must be a string, not {descriptor!r}")
     d = descriptor.strip().lower()
     if d in ("rationals", "qq", "q"):
         return QQ

@@ -17,12 +17,30 @@ recomputed every key at every step (kept as the oracle of the
 differential test in ``tests/test_groebner.py``).  A heap of pairs or
 Gebauer-Moeller pair installation would be faster still, but both change
 which pairs get reduced, and are deliberately not used.
+
+``normal_form`` reduces on packed monomials: each exponent vector becomes
+one ``int`` (see ``_ReducerTable``) whose order is the reverse of degrevlex,
+so that comparison, product and divisibility are single integer operations.
+This holds while every exponent stays below ``2**(bits - 1)`` in ``bits``-
+wide slots; degrevlex is degree-compatible, so no term of a reduction has a
+degree above that of its input, and packing refuses a monomial past the
+limit rather than answering wrongly.  The work terms wait in a heap
+(Monagan and Pearce 2011), their coefficients in a dict; a key cancelled
+after it was pushed is skipped when popped.  Each term is still reduced by
+the first basis element, in basis order, whose lead divides it, with the
+same ``Field`` operations, so every remainder and every basis is that of
+the tuple engine.  ``buchberger`` packs each element once, when it is
+appended, into a table that serves every reduction of the run and
+``_autoreduce``; the slots start as narrow as the generators allow and the
+table is repacked wider when an S-polynomial needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .fields import Field, PrimeField
 from .poly import Monomial, MultiPoly
@@ -52,31 +70,104 @@ def monomial_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
-    """Full reduction of p modulo the basis (every term reduced)."""
+class _ReducerTable:
+    """Nonzero basis elements packed for reduction, in basis order: one
+    ``(packed lead, lead coefficient, packed tail)`` entry per element.
+
+    A monomial m in n variables packs to ``E(m) - (deg(m) << width)``, where
+    E puts each exponent in a ``bits``-wide slot (variable 0 lowest) and
+    ``width = bits * n``.  The smaller packed value is the larger monomial in
+    degrevlex, a product is a sum, and l divides m exactly when
+    ``(m - l) & guard`` is zero, ``guard`` holding the top bit of every slot.
+    Both rules need every exponent at most ``limit = 2**(bits - 1) - 1``;
+    the slots are the narrowest whose limit reaches ``degree``, and ``pack``
+    refuses a monomial past the limit instead of packing it wrongly."""
+
+    __slots__ = ("nvars", "bits", "width", "guard", "limit", "entries")
+
+    def __init__(self, basis: Sequence[MultiPoly], nvars: int, degree: int):
+        bits = degree.bit_length() + 1
+        self.nvars = nvars
+        self.bits = bits
+        self.width = bits * nvars
+        self.guard = sum(1 << (bits * (i + 1) - 1) for i in range(nvars))
+        self.limit = (1 << (bits - 1)) - 1
+        self.entries: List[tuple] = []
+        for g in basis:
+            self.add(g)
+
+    def pack(self, mono: Monomial) -> int:
+        degree = sum(mono)
+        if degree > self.limit:
+            raise ValueError(f"degree {degree} exceeds the packed slot "
+                             f"limit {self.limit}")
+        e = 0
+        for x in reversed(mono):
+            e = (e << self.bits) | x
+        return e - (degree << self.width)
+
+    def unpack(self, h: int) -> Monomial:
+        e, bits = h & ((1 << self.width) - 1), self.bits
+        slot = (1 << bits) - 1
+        return tuple((e >> (bits * i)) & slot for i in range(self.nvars))
+
+    def add(self, g: MultiPoly) -> None:
+        if g.is_zero():
+            return
+        packed = [(self.pack(m), c) for m, c in g.terms.items()]
+        lead, lc = min(packed, key=itemgetter(0))
+        self.entries.append((lead, lc, [t for t in packed if t[0] != lead]))
+
+    def without(self, index: int) -> "_ReducerTable":
+        """The same packing with entry ``index`` left out."""
+        table = _ReducerTable((), self.nvars, self.limit)
+        table.entries = self.entries[:index] + self.entries[index + 1:]
+        return table
+
+
+def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
+                table: Optional[_ReducerTable] = None) -> MultiPoly:
+    """Full reduction of p modulo the basis (every term reduced).
+
+    Each term is reduced by the first basis element whose leading monomial
+    divides it.  ``table``, when given, is the packed form of exactly this
+    basis (``buchberger`` keeps one per run); otherwise one is built here."""
     field = p.field
-    lead = [(leading_monomial(g), g) for g in basis if not g.is_zero()]
-    work = dict(p.terms)
+    if table is None:
+        degree = max([p.total_degree()] + [g.total_degree() for g in basis])
+        table = _ReducerTable(basis, len(p.variables), degree)
+    entries, guard = table.entries, table.guard
+    work = {table.pack(m): c for m, c in p.terms.items()}
+    heap = list(work)
+    heapify(heap)
     out: Dict[Monomial, object] = {}
-    while work:
-        mono = max(work, key=degrevlex_key)
-        coeff = work.pop(mono)
-        reducer = next(((lm, g) for lm, g in lead if monomial_divides(lm, mono)), None)
-        if reducer is None:
-            out[mono] = coeff
+    while heap:
+        h = heappop(heap)
+        if h not in work:
+            continue    # cancelled after it was pushed
+        coeff = work.pop(h)
+        for lead, lc, tail in entries:
+            if not (h - lead) & guard:
+                break
+        else:
+            out[table.unpack(h)] = coeff
             continue
-        lm, g = reducer
-        shift = monomial_sub(mono, lm)
-        factor = field.div(coeff, g.terms[lm])
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            key = monomial_mul(gm, shift)
-            acc = field.sub(work.get(key, field.zero()), field.mul(factor, gc))
-            if field.is_zero(acc):
-                work.pop(key, None)
+        shift = h - lead
+        factor = field.div(coeff, lc)
+        # every new term lies below h, so a popped key never comes back
+        for gh, gc in tail:
+            key = gh + shift
+            if key in work:
+                acc = field.sub(work[key], field.mul(factor, gc))
+                if field.is_zero(acc):
+                    del work[key]
+                else:
+                    work[key] = acc
             else:
-                work[key] = acc
+                acc = field.sub(field.zero(), field.mul(factor, gc))
+                if not field.is_zero(acc):
+                    work[key] = acc
+                    heappush(heap, key)
     return MultiPoly(field, p.variables, out)
 
 
@@ -123,12 +214,15 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
     leads: List[Monomial] = []
     pairs: Set[Tuple[int, int]] = set()
     keys: Dict[Tuple[int, int], tuple] = {}  # pair -> (sugar, degrevlex of lcm)
+    table = _ReducerTable((), len(variables),
+                          max(g.total_degree() for g in gens))
 
     def append(g: MultiPoly, s: int) -> None:
         n = len(basis)
         basis.append(g)
         sugar.append(s)
         leads.append(leading_monomial(g))
+        table.add(g)
         for k in range(n):
             lcm = monomial_lcm(leads[n], leads[k])
             pair = (n, k)
@@ -163,30 +257,42 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
         if skip:
             continue
         s = s_polynomial(basis[i], basis[j])
-        r = normal_form(s, basis)
+        if sum(lcm) > table.limit:   # the S-polynomial needs wider slots
+            table = _ReducerTable(basis, len(variables), sum(lcm))
+        r = normal_form(s, basis, table)
         if r.is_zero():
             continue
         append(r, max(pair_sugar, r.total_degree()))
 
-    return GroebnerBasis(field, variables, _autoreduce(basis))
+    return GroebnerBasis(field, variables, _autoreduce(basis, table))
 
 
-def _autoreduce(basis: List[MultiPoly]) -> List[MultiPoly]:
+def _autoreduce(basis: List[MultiPoly],
+                table: Optional[_ReducerTable] = None) -> List[MultiPoly]:
+    """Reduced basis: drop every element whose lead another lead divides,
+    fully reduce the rest against each other, make them monic.  ``table`` is
+    the packed form of ``basis``, built here when not given."""
     field = basis[0].field
+    if table is None:
+        table = _ReducerTable(basis, len(basis[0].variables),
+                              max(g.total_degree() for g in basis))
     # drop redundant generators (lead divisible by another lead)
+    leads = [lead for lead, _, _ in table.entries]
+    guard = table.guard
     kept: List[MultiPoly] = []
-    leads = [leading_monomial(g) for g in basis]
-    for idx, g in enumerate(basis):
+    kept_table = _ReducerTable((), table.nvars, table.limit)
+    for idx, (g, entry) in enumerate(zip(basis, table.entries)):
         lm = leads[idx]
-        if any(k != idx and monomial_divides(leads[k], lm)
+        if any(k != idx and not (lm - leads[k]) & guard
                and (leads[k] != lm or k < idx) for k in range(len(basis))):
             continue
         kept.append(g)
+        kept_table.entries.append(entry)
     # fully reduce each against the others and normalise leading coefficient
     out: List[MultiPoly] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        r = normal_form(g, others) if others else g
+        r = normal_form(g, others, kept_table.without(idx)) if others else g
         if r.is_zero():
             continue
         inv = field.inv(r.terms[leading_monomial(r)])
@@ -197,9 +303,13 @@ def _autoreduce(basis: List[MultiPoly]) -> List[MultiPoly]:
 def s_polynomials_reduce_to_zero(gb: GroebnerBasis) -> bool:
     """Full Buchberger test, independent of how the basis was produced."""
     gens = gb.generators
+    # an S-polynomial has at most twice the top degree
+    top = max((g.total_degree() for g in gens), default=0)
+    table = _ReducerTable(gens, len(gb.variables), 2 * top)
     for i in range(len(gens)):
         for j in range(i):
-            if not normal_form(s_polynomial(gens[i], gens[j]), gens).is_zero():
+            s = s_polynomial(gens[i], gens[j])
+            if not normal_form(s, gens, table).is_zero():
                 return False
     return True
 

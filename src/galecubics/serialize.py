@@ -25,6 +25,28 @@ def poly_to_json(p: MultiPoly) -> list:
             sorted(p.terms.items())]
 
 
+def _key(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+
+
+def _list(data, what: str, length: Optional[int] = None) -> list:
+    """``data`` when it is a JSON list (of ``length`` items, if given)."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list, not {type(data).__name__}")
+    if length is not None and len(data) != length:
+        raise ValueError(f"{what} must have {length} entries, not {len(data)}")
+    return data
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
 def poly_from_json(field: Field, variables: Sequence[str], data: list) -> MultiPoly:
     terms = {}
     for coeff, mono in data:
@@ -36,16 +58,12 @@ def matrix_to_json(m: Matrix) -> list:
     return [[m.field.to_json(x) for x in row] for row in m.data]
 
 
-def matrix_from_json(field: Field, data: list) -> Matrix:
-    return Matrix(field, [[field.from_json(x) for x in row] for row in data])
-
-
 def vector_to_json(field: Field, v: Sequence) -> list:
     return [field.to_json(x) for x in v]
 
 
 def vector_from_json(field: Field, data: list) -> List:
-    return [field.from_json(x) for x in data]
+    return [field.from_json(x) for x in _list(data, "vector")]
 
 
 def equation_to_json(eq: NonSyzygeticEquation) -> dict:
@@ -61,18 +79,22 @@ def equation_to_json(eq: NonSyzygeticEquation) -> dict:
 
 
 def equation_from_json(field: Field, data: dict) -> NonSyzygeticEquation:
-    variables = tuple(data.get("variables",
-                               ("X0", "X1", "X2", "X3", "X4", "X5")))
-    rows = data["matrix"]
-    if len(rows) != 9:
-        raise ValueError("matrix must list 9 coefficient rows")
+    data = _object(data, "equation")
+    variables = data.get("variables", ["X0", "X1", "X2", "X3", "X4", "X5"])
+    if (not isinstance(variables, list) or len(variables) != 6
+            or not all(isinstance(v, str) for v in variables)
+            or len(set(variables)) != 6):
+        raise ValueError("variables must be a list of six distinct names")
+    rows = _list(_key(data, "matrix"), "matrix", 9)
     m_rows = [[vector_from_json(field, rows[3 * i + j]) for j in range(3)]
               for i in range(3)]
-    l_rows = [vector_from_json(field, r) for r in data["linear_forms"]]
-    if len(l_rows) != 3:
-        raise ValueError("need three linear forms")
+    l_rows = [vector_from_json(field, r)
+              for r in _list(_key(data, "linear_forms"), "linear_forms", 3)]
+    sign = data.get("sign", 1)
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     return NonSyzygeticEquation.from_coefficients(
-        field, m_rows, l_rows, int(data.get("sign", 1)), variables)
+        field, m_rows, l_rows, sign, variables)
 
 
 def lagrangian_to_json(data: RhoLagrangianData) -> list:
@@ -81,7 +103,7 @@ def lagrangian_to_json(data: RhoLagrangianData) -> list:
 
 
 def lagrangian_from_json(field: Field, columns: list) -> RhoLagrangianData:
-    cols = [vector_from_json(field, col) for col in columns]
+    cols = [vector_from_json(field, col) for col in _list(columns, "lagrangian")]
     for col in cols:
         if len(col) != 20:
             raise ValueError("subspace columns must have 20 coordinates")
@@ -92,9 +114,7 @@ class InstanceFile:
     """Typed view of the interchange JSON object."""
 
     def __init__(self, payload: dict):
-        if not isinstance(payload, dict):
-            raise ValueError("instance must be a JSON object")
-        self.payload = payload
+        self.payload = _object(payload, "instance")
         self.field: Field = parse_field(payload.get("field", "rationals"))
 
     def equation(self) -> NonSyzygeticEquation:
@@ -121,25 +141,19 @@ class InstanceFile:
     def line_points(self):
         if "line" not in self.payload:
             raise ValueError("no line given (instance field 'line': two points)")
-        pts = self.payload["line"]
-        if len(pts) != 2:
-            raise ValueError("a line is given by two points")
+        pts = _list(self.payload["line"], "line", 2)
         return [vector_from_json(self.field, p) for p in pts]
-
-    def generators(self) -> List[Matrix]:
-        return [matrix_from_json(self.field, g)
-                for g in self.payload.get("generators", [])]
 
     def params(self) -> A4FamilyParams:
         raw = self.payload.get("params")
         if raw is None:
             raise ValueError("instance carries no family parameters")
+        raw = _object(raw, "params")
         k = self.field
         xi = (k.from_json(raw["xi"]) if "xi" in raw
               else k.cube_root_of_unity())
-        return A4FamilyParams(k, k.from_json(raw["alpha"]),
-                              k.from_json(raw["beta"]), k.from_json(raw["gamma"]),
-                              k.from_json(raw["delta"]), k.from_json(raw["lambda"]),
+        return A4FamilyParams(k, *(k.from_json(_key(raw, name)) for name in
+                                   ("alpha", "beta", "gamma", "delta", "lambda")),
                               xi)
 
 

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galecubics.cli import main
 from galecubics.fields import PrimeField
@@ -252,3 +254,114 @@ def test_unreadable_input_file_exits_2(capsys, tmp_path, argv):
 def test_invariants_selftest_command(capsys):
     code, out, _ = run_cli(capsys, ["invariants", "selftest"])
     assert code == 0 and json.loads(out)["sigma_identity"]
+
+
+# -- malformed instances ------------------------------------------------------
+
+def run_quiet(argv, stdin):
+    """``main`` on a piped instance, with both streams captured."""
+    import contextlib
+    import io
+    import sys
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = sys.__stdin__
+    return code, out.getvalue(), err.getvalue()
+
+
+BAD_INPUT_COMMANDS = [["gale", "dual"], ["lagrangian", "from-gale", "--choice-of-L", "1"]]
+
+
+def assert_one_line_error(argv, payload, message=None):
+    code, out, err = run_quiet(argv, json.dumps(payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_COMMANDS)
+def test_malformed_instances_exit_2(argv):
+    payload, _ = sample_instance(2)
+    assert_one_line_error(argv, {"field": 7},
+                          "field descriptor must be a string, not 7")
+    assert_one_line_error(argv, {"field": "prime:101", "equation": 5},
+                          "equation must be a JSON object, not int")
+    for key in ("matrix", "linear_forms"):
+        broken = json.loads(json.dumps(payload))
+        del broken["equation"][key]
+        assert_one_line_error(argv, broken, f"missing key {key!r}")
+    for sign in ("1", 1.0, True, 2):
+        broken = json.loads(json.dumps(payload))
+        broken["equation"]["sign"] = sign
+        assert_one_line_error(argv, broken, f"sign must be 1 or -1, not {sign!r}")
+
+
+def parses_as_int(value):
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+# (path into the instance, values of the wrong shape for that place); a path
+# ending in None deletes the key
+DAMAGE = [
+    ((), json_values.filter(lambda v: not isinstance(v, dict))),
+    (("field",), json_values.filter(lambda v: not isinstance(v, str))),
+    (("equation",), json_values.filter(lambda v: not isinstance(v, dict))),
+    (("equation", "matrix"), json_values.filter(
+        lambda v: not (isinstance(v, list) and len(v) == 9))),
+    (("equation", "linear_forms"), json_values.filter(
+        lambda v: not (isinstance(v, list) and len(v) == 3))),
+    (("equation", "matrix", 4), json_values.filter(
+        lambda v: not (isinstance(v, list) and len(v) == 6))),
+    (("equation", "linear_forms", 2), json_values.filter(
+        lambda v: not (isinstance(v, list) and len(v) == 6))),
+    (("equation", "matrix", 7, 3), json_values.filter(
+        lambda v: isinstance(v, bool) or not isinstance(v, int)
+        and not (isinstance(v, str) and parses_as_int(v)))),
+    (("equation", "sign"), json_values.filter(
+        lambda v: type(v) is not int or v not in (1, -1))),
+    (("equation", "variables"), json_values.filter(
+        lambda v: not (isinstance(v, list) and len(v) == 6))),
+    (("equation", "matrix", None), st.none()),
+    (("equation", "linear_forms", None), st.none()),
+]
+
+
+@st.composite
+def damaged_instances(draw):
+    payload, _ = sample_instance(3)
+    path, values = draw(st.sampled_from(DAMAGE))
+    value = draw(values)
+    if not path:
+        return value
+    *parents, last = path
+    if last is None:
+        *parents, last = parents
+    node = payload
+    for step in parents:
+        node = node[step]
+    if path[-1] is None:
+        del node[last]
+    else:
+        node[last] = value
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_instances(), st.sampled_from(BAD_INPUT_COMMANDS))
+def test_wrongly_shaped_instances_give_one_error_line(payload, argv):
+    assert_one_line_error(argv, payload)

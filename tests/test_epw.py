@@ -379,6 +379,53 @@ def test_decomposable_elimination_truncated_is_inconclusive():
     assert "inconclusive" in report.detail
 
 
+def test_sparse_column_rank_matches_dense_rank():
+    from galecubics.epw import _sparse_column_rank
+    from galecubics.poly import monomials_of_degree
+    rng = random.Random(22)
+    labels = monomials_of_degree(4, 3)
+    for field in (PrimeField(2), FIELD):
+        for trial in range(12):
+            ncols = rng.randint(1, 30)
+            # sparse columns, some of them sums of earlier ones
+            columns = []
+            for _ in range(ncols):
+                if columns and rng.random() < 0.3:
+                    a, b = rng.choice(columns), rng.choice(columns)
+                    col = {k: field.add(a.get(k, field.zero()), b.get(k, field.zero()))
+                           for k in set(a) | set(b)}
+                else:
+                    col = {k: field.random(rng) for k in rng.sample(labels, 4)}
+                columns.append({k: v for k, v in col.items() if not field.is_zero(v)})
+            dense = Matrix.from_columns(field, [[col.get(k, field.zero()) for k in labels]
+                                                for col in columns])
+            assert _sparse_column_rank(field, columns, len(labels)) == dense.rank()
+            cap = rng.randint(1, 5)
+            assert _sparse_column_rank(field, columns, cap) == min(cap, dense.rank())
+
+
+# Reduced degrevlex basis of the 45 decomposability quadrics of
+# make_instance(21) in 10 variables over GF(101), pinned from the engine
+# before monomials were packed: the sha256 of
+# repr(sorted(sorted(g.terms.items()) for g in gb)).
+DECOMPOSABILITY_BASIS = (
+    66, "c292632c21fd5c4f3318923af9c3dc707e01c23a24592755866a5da17d99eb76")
+
+
+def test_decomposability_basis_is_pinned():
+    import hashlib
+    from galecubics.epw import decomposability_quadrics
+    from galecubics.groebner import buchberger, is_zero_dim_cone
+    eq, data, rng = make_instance(21)
+    quadrics = decomposability_quadrics(data)
+    assert len(quadrics) == 45
+    gb = buchberger(quadrics)
+    terms = sorted(sorted(g.terms.items()) for g in gb.generators)
+    digest = hashlib.sha256(repr(terms).encode()).hexdigest()
+    assert (len(gb.generators), digest) == DECOMPOSABILITY_BASIS
+    assert is_zero_dim_cone(gb)
+
+
 @pytest.mark.slow
 def test_decomposable_elimination_certifies_at_degree_five():
     from galecubics.epw import decomposable_vector_check

@@ -5,10 +5,12 @@ import pytest
 
 from galecubics import groebner
 from galecubics.equivariant import A4FamilyParams, a4_family
-from galecubics.fields import QQ, PrimeField
+from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.groebner import (GroebnerBasis, buchberger, degrevlex_key, is_zero_dim_cone,
                                  normal_form, s_polynomials_reduce_to_zero,
                                  smooth_check, vanishing_points)
+from galecubics.groebner import (leading_monomial, monomial_divides, monomial_mul,
+                                 monomial_sub)
 from galecubics.poly import MultiPoly, monomials_of_degree
 
 
@@ -219,8 +221,8 @@ def reductions(monkeypatch):
         last[:] = [spoly(f, g)]
         return last[0]
 
-    def counted_nf(p, basis):
-        r = nf(p, basis)
+    def counted_nf(p, basis, table=None):
+        r = nf(p, basis, table)
         if last and p is last[0]:
             last.clear()
             log.append((sorted(p.terms.items()), r.is_zero()))
@@ -288,3 +290,141 @@ def test_a4_jacobian_basis_is_pinned():
         digest = hashlib.sha256(repr(sorted(terms_of(gb))).encode()).hexdigest()
         assert (len(gb.generators), digest) == A4_JACOBIAN_BASES[tag]
         assert is_zero_dim_cone(gb)
+
+
+# -- packed monomials and heap reduction ------------------------------------
+
+def reference_normal_form(p, basis):
+    """``normal_form`` as it was before monomials were packed: the work set
+    rescanned with ``max`` at every step, leads recomputed per call, tuple
+    divisibility.  Test-only oracle."""
+    field = p.field
+    lead = [(leading_monomial(g), g) for g in basis if not g.is_zero()]
+    work = dict(p.terms)
+    out = {}
+    while work:
+        mono = max(work, key=degrevlex_key)
+        coeff = work.pop(mono)
+        reducer = next(((lm, g) for lm, g in lead if monomial_divides(lm, mono)), None)
+        if reducer is None:
+            out[mono] = coeff
+            continue
+        lm, g = reducer
+        shift = monomial_sub(mono, lm)
+        factor = field.div(coeff, g.terms[lm])
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            key = monomial_mul(gm, shift)
+            acc = field.sub(work.get(key, field.zero()), field.mul(factor, gc))
+            if field.is_zero(acc):
+                work.pop(key, None)
+            else:
+                work[key] = acc
+    return MultiPoly(field, p.variables, out)
+
+
+NF_FIELDS = [PrimeField(2), PrimeField(5), PrimeField(97), QQ,
+             cyclotomic3(PrimeField(5))]
+
+
+def random_poly(field, variables, degree, rng, homogeneous):
+    p = random_form(field, variables, degree, rng, density=0.5)
+    if not homogeneous:
+        for d in range(degree):
+            p = p + random_form(field, variables, d, rng, density=0.3)
+    return p
+
+
+def random_reduction(field, n):
+    """A seeded ``(p, basis)``: unreduced reducers, every fifth case with a
+    zero p, a constant reducer, or a duplicated lead."""
+    rng = random.Random(2000 + n)
+    nvars = 2 + n % 3
+    variables = tuple(f"x{i}" for i in range(nvars))
+    homogeneous = n % 2 == 0
+    basis = [random_poly(field, variables, rng.randint(1, 3), rng, homogeneous)
+             for _ in range(1 + n % 4)]
+    if n % 5 == 1:   # another element with the same lead, later in the basis
+        g = basis[0]
+        basis.append(g.scale(field.from_int(2)) + random_poly(
+            field, variables, max(g.total_degree() - 1, 0), rng, homogeneous))
+    if n % 5 == 2:
+        basis.append(MultiPoly.constant(field, variables, field.from_int(3)))
+    p = (MultiPoly.zero(field, variables) if n % 5 == 3 else
+         random_poly(field, variables, rng.randint(2, 5), rng, homogeneous))
+    return p, basis
+
+
+@pytest.mark.parametrize("field", NF_FIELDS, ids=lambda k: k.descriptor)
+def test_normal_form_matches_reference(field):
+    reduced = 0
+    for n in range(30):
+        p, basis = random_reduction(field, n)
+        expected = reference_normal_form(p, basis)
+        got = normal_form(p, basis)
+        # equal terms, inserted in the same order
+        assert list(got.terms.items()) == list(expected.terms.items())
+        reduced += got.terms != p.terms
+    assert reduced > 10
+
+
+def packing_cases():
+    for nvars in (3, 4):
+        for degree in (3, 4):   # 3- and 4-bit slots
+            table = groebner._ReducerTable((), nvars, degree)
+            # every monomial up to the slot limit, 2**(bits - 1) - 1, which
+            # covers degree 4 and single exponents at the limit
+            monos = [m for d in range(table.limit + 1)
+                     for m in monomials_of_degree(nvars, d)]
+            yield table, monos
+
+
+@pytest.mark.parametrize("table,monos", packing_cases(),
+                         ids=["3vars-3bits", "3vars-4bits", "4vars-3bits", "4vars-4bits"])
+def test_packing_matches_tuple_operations(table, monos):
+    packed = {m: table.pack(m) for m in monos}
+    for m, h in packed.items():
+        assert table.unpack(h) == m
+    for a, ha in packed.items():
+        for b, hb in packed.items():
+            # the smaller packed value is the larger monomial
+            assert (ha < hb) == (degrevlex_key(a) > degrevlex_key(b))
+            assert (not (hb - ha) & table.guard) == monomial_divides(a, b)
+            if sum(a) + sum(b) <= table.limit:
+                assert ha + hb == table.pack(monomial_mul(a, b))
+
+
+def test_packing_refuses_degrees_past_the_slot_limit():
+    table = groebner._ReducerTable((), 3, 2)
+    assert (table.bits, table.limit) == (3, 3)
+    table.pack((0, 0, 3))
+    with pytest.raises(ValueError):
+        table.pack((2, 1, 1))
+    with pytest.raises(ValueError):
+        table.pack((4, 0, 0))
+
+
+# x0^2 + 6*x0 + 6*x1^2 and 4*x0^2 + 6*x0*x1 over GF(7): the generators pack
+# into 3-bit slots (degrees up to 3), and an S-polynomial of degree 4 follows
+REPACK_SYSTEM = {(2, 0): 1, (1, 0): 6, (0, 2): 6}, {(2, 0): 4, (1, 1): 6}
+
+
+def test_buchberger_repacks_wider_slots(reductions, monkeypatch):
+    field = PrimeField(7)
+    gens = [MultiPoly(field, ("x0", "x1"), terms) for terms in REPACK_SYSTEM]
+    expected = reference_buchberger(gens)
+    expected_log = list(reductions)
+    reductions.clear()
+    widths = []
+    counted_nf = groebner.normal_form
+
+    def width_nf(p, basis, table=None):
+        widths.append(table.bits)
+        return counted_nf(p, basis, table)
+
+    monkeypatch.setattr(groebner, "normal_form", width_nf)
+    got = buchberger(gens)
+    assert widths[0] == 3 and max(widths) > 3
+    assert terms_of(got) == terms_of(expected)
+    assert reductions == expected_log
