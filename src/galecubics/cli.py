@@ -16,8 +16,6 @@ import argparse
 import json
 import random
 import sys
-from typing import Optional
-
 from . import serialize
 from .epw import (EPWPoint, ProjectiveSubspace, epw_contains, epw_line_degree,
                   harvest_epw_points, line_to_epw, epw_to_lines, residual_conic)
@@ -53,9 +51,13 @@ def _read_instance(args) -> InstanceFile:
             raise CliError("no input instance (use -i FILE or pipe JSON)")
         payload = json.loads(text)
     try:
-        return InstanceFile(payload)
+        inst = InstanceFile(payload)
+        if args.field and parse_field(args.field) != inst.field:
+            raise CliError(f"--field {args.field} does not match the "
+                           f"instance field {inst.field.descriptor}")
     except ValueError as exc:
         raise CliError(str(exc))
+    return inst
 
 
 def _write(args, payload) -> None:
@@ -65,14 +67,6 @@ def _write(args, payload) -> None:
             handle.write(text + "\n")
     else:
         print(text)
-
-
-def _field_override(args, instance: Optional[InstanceFile]):
-    if args.field:
-        return parse_field(args.field)
-    if instance is not None:
-        return instance.field
-    raise CliError("no field given (use --field)")
 
 
 # -- subcommand implementations ------------------------------------------------

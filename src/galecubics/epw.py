@@ -29,7 +29,7 @@ from .fields import Element, Field, PrimeField
 from .gale import NonSyzygeticEquation
 from .lagrangian import RhoLagrangianData
 from .linalg import Matrix
-from .poly import MultiPoly, univariate_from_coeffs
+from .poly import MultiPoly, scalar_multiple, univariate_from_coeffs
 
 
 @dataclass(frozen=True)
@@ -339,9 +339,11 @@ def fano_tuple(eq: NonSyzygeticEquation) -> NonSyzygeticEquation:
     plus = eq.plus_normalized()
     if eq.sign == 1:
         return plus
-    mt = [[plus.m[j][i] for j in range(3)] for i in range(3)]
-    return NonSyzygeticEquation(eq.field, plus.variables, mt,
-                                list(plus.l_forms), 1)
+    rows = plus.coeffs.data
+    return NonSyzygeticEquation(
+        eq.field, plus.variables,
+        Matrix(eq.field, [rows[3 * (k % 3) + k // 3] for k in range(9)]
+               + rows[9:]), 1)
 
 
 def pi_gamma(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> PiGamma:
@@ -352,18 +354,11 @@ def pi_gamma(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> PiGamma:
     if all(field.is_zero(c) for c in p.e_part):
         raise ValueError("e = 0: the plane of the construction degenerates")
     plus = fano_tuple(eq)
-    l_i = plus.l_forms[i - 1]
-    f = p.f_part
-    e = p.e_part
-    pi_rows = []
-    gamma_rows = []
-    for r in range(3):
-        acc = MultiPoly.zero(field, eq.variables)
-        for j in range(3):
-            acc = acc + plus.m[r][j].scale(f[j])
-        gamma_rows.append(acc.linear_coefficients())
-        pi_rows.append((acc + l_i.scale(e[r])).linear_coefficients())
-    gamma_rows.append(l_i.linear_coefficients())
+    l_i = plus.coeffs.data[8 + i]
+    gamma_rows = plus.m_product(p.f_part).data
+    pi_rows = [[field.add(a, field.mul(e, b)) for a, b in zip(row, l_i)]
+               for row, e in zip(gamma_rows, p.e_part)]
+    gamma_rows.append(l_i)
     pi = ProjectiveSubspace.from_forms(field, eq.variables, pi_rows)
     gamma = ProjectiveSubspace.from_forms(field, eq.variables, gamma_rows)
     return PiGamma(pi, gamma, pi.codim() == 3, gamma.codim() == 4)
@@ -416,10 +411,8 @@ def residual_conic(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> ResidualCon
                          "dimension")
     plus = fano_tuple(eq)
     n = pg.pi.parametrization()          # 6 x 3
-    images = [MultiPoly.linear_form(field, PLANE_VARIABLES, n.data[r])
-              for r in range(6)]
-    restricted = plus.cubic_polynomial().subs(images)
-    ell = plus.l_forms[i - 1].subs(images)
+    restricted = plus.cubic_polynomial().linear_substitution(n, PLANE_VARIABLES)
+    ell = plus.l_forms[i - 1].linear_substitution(n, PLANE_VARIABLES)
     if ell.is_zero():
         raise ValueError("L_i vanishes on the plane")
     quadric, remainder = restricted.divmod_linear(ell)
@@ -579,8 +572,8 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
     else:
         t = field.neg(field.div(v0, v1))
         meet = [field.add(a, field.mul(t, b)) for a, b in zip(p0, p1)]
-    m_at = Matrix(field, [[plus.m[r][c].evaluate(meet) for c in range(3)]
-                          for r in range(3)])
+    values = plus.coeffs.apply_to_vector(meet)
+    m_at = Matrix(field, [values[3 * r:3 * r + 3] for r in range(3)])
     rank = m_at.rank()
     if rank == 3:
         raise LineCorrespondenceError("matrix has full rank at the meeting "
@@ -589,13 +582,8 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
         raise LineCorrespondenceError("matrix rank at most one at the meeting "
                                       "point; kernel direction not unique")
     f = m_at.kernel_basis().column(0)
-    gamma_rows = []
-    for r in range(3):
-        acc = MultiPoly.zero(field, eq.variables)
-        for j in range(3):
-            acc = acc + plus.m[r][j].scale(f[j])
-        gamma_rows.append(acc.linear_coefficients())
-    gamma_rows.append(l_i.linear_coefficients())
+    mf = plus.m_product(f).data
+    gamma_rows = mf + [l_i.linear_coefficients()]
     gamma = ProjectiveSubspace.from_forms(field, eq.variables, gamma_rows)
     if gamma.codim() != 4:
         raise LineCorrespondenceError("associated coordinate line degenerates")
@@ -607,26 +595,18 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
                                       "a plane")
     plane = ProjectiveSubspace.from_points(field, eq.variables, span_pts)
     n = plane.parametrization()
-    images = [MultiPoly.linear_form(field, PLANE_VARIABLES, n.data[r])
-              for r in range(6)]
-    ell = l_i.subs(images)
+    ell = l_i.linear_substitution(n, PLANE_VARIABLES)
     if ell.is_zero():
         raise LineCorrespondenceError("L_i vanishes on the spanned plane")
     e = []
-    for r in range(3):
-        acc = MultiPoly.zero(field, eq.variables)
-        for j in range(3):
-            acc = acc + plus.m[r][j].scale(f[j])
-        restricted = acc.subs(images)
+    for row in mf:
+        form = MultiPoly.linear_form(field, eq.variables, row)
+        restricted = form.linear_substitution(n, PLANE_VARIABLES)
         if restricted.is_zero():
             e.append(field.zero())
             continue
-        ratio = None
-        for mono, c in ell.terms.items():
-            if mono in restricted.terms:
-                ratio = field.div(restricted.terms[mono], c)
-                break
-        if ratio is None or restricted != ell.scale(ratio):
+        ratio = scalar_multiple(restricted, ell)
+        if ratio is None:
             raise LineCorrespondenceError("plane is not in the expected pencil")
         e.append(field.neg(ratio))
     return EPWPoint.make(field, e + list(f))

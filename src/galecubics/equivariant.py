@@ -30,8 +30,8 @@ from .gale import NonSyzygeticEquation, composition_is_zero
 from .lagrangian import (QPPresentation, RhoLagrangianData, _hats_from_blocks,
                          validate)
 from .linalg import Matrix, same_column_span
-from .poly import MultiPoly, proportional
-from .invariants import PROJECTED_VARIABLES
+from .poly import scalar_multiple
+from .invariants import PROJECTED_VARIABLES, coordinate_embedding
 
 
 def is_block_diagonal(field: Field, g6: Matrix) -> bool:
@@ -99,33 +99,15 @@ def solve_action_on_columns(basis: Matrix, induced: Matrix) -> Matrix:
     return Matrix.from_columns(field, cols)
 
 
-def substitute_variable_matrix(poly: MultiPoly, d: Matrix) -> MultiPoly:
-    """Image of a polynomial under the column action X -> D X, i.e.
-    substitution of each variable by the corresponding row of D^t."""
-    field = poly.field
-    dt = d.transpose()
-    images = [MultiPoly.linear_form(field, poly.variables, dt.data[i])
-              for i in range(len(poly.variables))]
-    return poly.subs(images)
-
-
 def observed_cubic_scalar(eq: NonSyzygeticEquation, d10: Matrix,
                           ) -> Optional[Element]:
     """Scalar c with F(D X) = c F(X) for the cubic of a six-variable tuple
-    embedded in the ten projected coordinates; None when not proportional."""
-    field = eq.field
-    images = []
-    for v in eq.variables:
-        images.append(MultiPoly.variable(field, PROJECTED_VARIABLES,
-                                         PROJECTED_VARIABLES.index(v)))
-    embedded = eq.cubic_polynomial().subs(images)
-    moved = substitute_variable_matrix(embedded, d10)
-    if moved == embedded:
-        return field.one()
-    if not proportional(moved, embedded):
-        return None
-    mono = next(iter(embedded.terms))
-    return field.div(moved.terms[mono], embedded.terms[mono])
+    embedded in the ten projected coordinates; None when not proportional.
+    F(D X) substitutes each variable by the corresponding row of D^t."""
+    embedded = eq.cubic_polynomial().linear_substitution(
+        coordinate_embedding(eq.field, eq.variables), PROJECTED_VARIABLES)
+    moved = embedded.linear_substitution(d10.transpose(), PROJECTED_VARIABLES)
+    return scalar_multiple(moved, embedded)
 
 
 # -- the alternating-group family ---------------------------------------------
@@ -181,11 +163,12 @@ VARS_E = ("X4", "X5", "X6", "X7", "X8", "X9")
 VARS_F = ("X0", "X1", "X2", "X3", "X8", "X9")
 
 
-def _lin(field: Field, variables, **coeffs) -> MultiPoly:
+def _lin(field: Field, variables, **coeffs) -> List[Element]:
+    """Coefficient row of the linear form sum c * name."""
     vec = [field.zero()] * len(variables)
     for name, c in coeffs.items():
         vec[variables.index(name)] = c
-    return MultiPoly.linear_form(field, variables, vec)
+    return vec
 
 
 def a4_family_equations(params: A4FamilyParams,
@@ -205,7 +188,8 @@ def a4_family_equations(params: A4FamilyParams,
     # carries the involution swapping the two distinguished coordinates, and
     # this ordering makes the slotwise composition with the minus tuple zero
     l_e = [_lin(k, VARS_E, X7=g), _lin(k, VARS_E, X9=k.one()), _lin(k, VARS_E, X8=k.one())]
-    eq_e = NonSyzygeticEquation(k, VARS_E, m_e, l_e, 1)
+    eq_e = NonSyzygeticEquation.from_coefficients(k, sum(m_e, []) + l_e, 1,
+                                                  VARS_E)
 
     c = k.neg(k.inv(k.mul(k.from_int(3), l)))   # -(1/(3 lam))
     cxi, cxi2 = k.mul(c, xi), k.mul(c, xi2)
@@ -217,7 +201,8 @@ def a4_family_equations(params: A4FamilyParams,
     ]
     l_f = [_lin(k, VARS_F, X3=k.mul(k.from_int(3), d)),
            _lin(k, VARS_F, X8=k.one()), _lin(k, VARS_F, X9=k.one())]
-    eq_f = NonSyzygeticEquation(k, VARS_F, m_f, l_f, -1)
+    eq_f = NonSyzygeticEquation.from_coefficients(k, sum(m_f, []) + l_f, -1,
+                                                  VARS_F)
     return eq_e, eq_f
 
 
@@ -251,19 +236,11 @@ def a4_lagrangian_matrix(eq_e: NonSyzygeticEquation,
     the two frame blocks."""
     k = eq_e.field
 
-    def embed_rows(eq, keep_l1):
-        rows = []
-        forms = eq.forms()[:9] + [keep_l1]
-        for f in forms:
-            vec = [k.zero()] * 10
-            for c, v in zip(f.linear_coefficients(), eq.variables):
-                vec[PROJECTED_VARIABLES.index(v)] = c
-            rows.append(vec)
-        return rows
+    def embed_rows(eq):
+        first10 = eq.coeffs.submatrix(range(10), range(6))
+        return first10 * coordinate_embedding(k, eq.variables)
 
-    q_rows = embed_rows(eq_e, eq_e.l_forms[0])
-    p_rows = embed_rows(eq_f, eq_f.l_forms[0])
-    return Matrix(k, q_rows + p_rows)
+    return embed_rows(eq_e).vstack(embed_rows(eq_f))
 
 
 def a4_family(params: A4FamilyParams) -> A4Family:

@@ -59,7 +59,6 @@ def _grade3_triples() -> List[IndexTuple]:
 
 
 GRADE3_TRIPLES: List[IndexTuple] = _grade3_triples()
-GRADE3_INDEX: Dict[IndexTuple, int] = {t: i for i, t in enumerate(GRADE3_TRIPLES)}
 GRADE2_PAIRS: List[IndexTuple] = list(combinations(range(DIM), 2))
 GRADE4_QUADS: List[IndexTuple] = list(combinations(range(DIM), 4))
 TOP_TUPLE: IndexTuple = tuple(range(DIM))
@@ -293,24 +292,6 @@ def from_frame_coordinates(field: Field, coords: Sequence[Element]) -> ExteriorE
 
 def lex3_coordinates(x: ExteriorElement) -> List[Element]:
     return x.coordinates(GRADE3_TRIPLES)
-
-
-def from_lex3_coordinates(field: Field, coords: Sequence[Element]) -> ExteriorElement:
-    return ExteriorElement(field, 3, {
-        t: c for t, c in zip(GRADE3_TRIPLES, coords) if not field.is_zero(c)
-    })
-
-
-def frame_of_lex3_matrix(field: Field):
-    """20x20 signed permutation taking lex3 coordinates to frame coordinates."""
-    from .linalg import Matrix
-    rows = []
-    one, zero = field.one(), field.zero()
-    for t, sgn in FRAME_SUPPORT:
-        row = [zero] * 20
-        row[GRADE3_INDEX[t]] = one if sgn > 0 else field.neg(one)
-        rows.append(row)
-    return Matrix(field, rows)
 
 
 def induced_grade3_matrix(field: Field, g6: Sequence[Sequence[Element]],

@@ -29,18 +29,37 @@ from typing import Any, Optional
 Element = Any  # Fraction | int | tuple, depending on the field
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson & Webster 2017: the least strong pseudoprime to all of them).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ``ValueError`` from 3.3e24 on, where the
+    fixed bases no longer decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to certify as prime "
+                         f"(limit {_MR_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

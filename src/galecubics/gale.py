@@ -2,16 +2,19 @@
 
 A cubic fourfold of the class studied here has an equation
 ``det(M) + sign * L1*L2*L3 = 0`` with ``M`` a 3x3 matrix of linear forms in
-six variables and ``L1, L2, L3`` further linear forms.  Collecting the
-twelve coefficient vectors into a 6x12 matrix and passing to its kernel
-produces the dual tuple in dual variables; the composition of the two
-coefficient maps is exactly zero, and applying the transform twice returns
-to the original row space.
+six variables and ``L1, L2, L3`` further linear forms.  A tuple is stored as
+its twelve coefficient rows (one 12x6 matrix, forms in the order M11, ...,
+M33, L1, L2, L3) plus the sign.  The transpose of that matrix is the 6x12
+coefficient map; the rows of its kernel are the coefficient rows of the
+dual tuple, in dual variables and with the opposite sign.  The composition
+of the two coefficient maps is exactly zero, and applying the transform
+twice returns to the original row space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Element, Field
@@ -27,18 +30,27 @@ def dual_variable_names(variables: Sequence[str]) -> Tuple[str, ...]:
     return tuple(v + "'" for v in variables)
 
 
-@dataclass
+def _negate_l1(coeffs: Matrix) -> Matrix:
+    """The coefficient rows with row 9 (the form L1) negated."""
+    k = coeffs.field
+    rows = list(coeffs.data)
+    rows[9] = [k.neg(x) for x in rows[9]]
+    return Matrix(k, rows)
+
+
+@dataclass(frozen=True)
 class NonSyzygeticEquation:
     """The tuple (M, L1, L2, L3, sign) encoding det M + sign*L1*L2*L3 = 0.
 
-    All twelve entries are homogeneous linear forms in the same six
-    variables.  ``sign`` is +1 or -1.
+    ``coeffs`` is 12x6: row k holds the coefficients, in the six
+    ``variables``, of form k in the order M11, ..., M33, L1, L2, L3.
+    ``sign`` is +1 or -1.  ``m`` and ``l_forms`` are read-only views of the
+    rows as linear forms.
     """
 
     field: Field
     variables: Tuple[str, ...]
-    m: List[List[MultiPoly]]          # 3x3 of linear forms
-    l_forms: List[MultiPoly]          # L1, L2, L3
+    coeffs: Matrix
     sign: int
 
     def __post_init__(self):
@@ -46,44 +58,54 @@ class NonSyzygeticEquation:
             raise ValueError("sign must be +1 or -1")
         if len(self.variables) != 6:
             raise ValueError("need six variables")
-        if len(self.m) != 3 or any(len(r) != 3 for r in self.m):
-            raise ValueError("M must be 3x3")
-        if len(self.l_forms) != 3:
-            raise ValueError("need three L forms")
-        for p in self.forms():
-            if p.variables != tuple(self.variables):
-                raise ValueError("all forms must share the variable list")
-            if not p.is_homogeneous(1) and not p.is_zero():
-                raise ValueError("entries must be homogeneous of degree 1")
+        if (self.coeffs.rows, self.coeffs.cols) != (12, 6):
+            raise ValueError("need twelve coefficient rows of length six")
 
     @classmethod
-    def from_coefficients(cls, field: Field,
-                          m_rows: Sequence[Sequence[Sequence[Element]]],
-                          l_rows: Sequence[Sequence[Element]],
+    def from_coefficients(cls, field: Field, rows: Sequence[Sequence[Element]],
                           sign: int,
                           variables: Sequence[str] = DEFAULT_VARIABLES,
                           ) -> "NonSyzygeticEquation":
-        """Build from 9 + 3 coefficient vectors (each of length six)."""
-        mk = [[MultiPoly.linear_form(field, variables, m_rows[i][j])
-               for j in range(3)] for i in range(3)]
-        ls = [MultiPoly.linear_form(field, variables, row) for row in l_rows]
-        return cls(field, tuple(variables), mk, ls, sign)
+        """Build from the twelve coefficient vectors (each of length six)."""
+        return cls(field, tuple(variables), Matrix(field, rows), sign)
 
-    def forms(self) -> List[MultiPoly]:
-        """The twelve linear forms in the order M11,...,M33, L1, L2, L3."""
-        return [self.m[i][j] for i in range(3) for j in range(3)] + list(self.l_forms)
+    @cached_property
+    def _forms(self) -> Tuple[MultiPoly, ...]:
+        return tuple(MultiPoly.linear_form(self.field, self.variables, row)
+                     for row in self.coeffs.data)
+
+    @property
+    def m(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        """The 3x3 matrix of linear forms."""
+        f = self._forms
+        return (f[0:3], f[3:6], f[6:9])
+
+    @property
+    def l_forms(self) -> Tuple[MultiPoly, ...]:
+        return self._forms[9:]
 
     def coefficient_matrix(self) -> Matrix:
         """6x12 matrix whose j-th column is the coefficient vector of the
         j-th form, M entries ordered lexicographically."""
-        return Matrix.from_columns(
-            self.field, [f.linear_coefficients() for f in self.forms()]
-        )
+        return self.coeffs.transpose()
+
+    def m_product(self, v: Sequence[Element], left: bool = False) -> Matrix:
+        """Coefficient rows (3x6) of the three forms ``M v``, or of
+        ``v^t M`` when ``left``: one product with the M block."""
+        k = self.field
+        z = k.zero()
+        w = [[z] * 9 for _ in range(3)]
+        for a in range(3):
+            for b in range(3):
+                if left:
+                    w[b][3 * a + b] = v[a]
+                else:
+                    w[a][3 * a + b] = v[b]
+        return Matrix(k, w) * self.coeffs.submatrix(range(9), range(6))
 
     def is_valid(self) -> bool:
         """At least two of L1, L2, L3 linearly independent (diagnostic)."""
-        lmat = Matrix(self.field, [f.linear_coefficients() for f in self.l_forms])
-        return lmat.rank() >= 2
+        return self.coeffs.submatrix(range(9, 12), range(6)).rank() >= 2
 
     def cubic_polynomial(self) -> MultiPoly:
         ring = PolyRing(self.field, self.variables)
@@ -95,38 +117,34 @@ class NonSyzygeticEquation:
         """Equivalent tuple with sign +1 (folds a minus sign into L1)."""
         if self.sign == 1:
             return self
-        neg_one = self.field.neg(self.field.one())
-        ls = [self.l_forms[0].scale(neg_one)] + list(self.l_forms[1:])
         return NonSyzygeticEquation(self.field, self.variables,
-                                    [row[:] for row in self.m], ls, 1)
+                                    _negate_l1(self.coeffs), 1)
 
     def permute_l_forms(self, perm: Sequence[int]) -> "NonSyzygeticEquation":
-        ls = [self.l_forms[perm[i]] for i in range(3)]
-        return NonSyzygeticEquation(self.field, self.variables,
-                                    [row[:] for row in self.m], ls, self.sign)
+        rows = self.coeffs.data
+        return NonSyzygeticEquation(
+            self.field, self.variables,
+            Matrix(self.field, rows[:9] + [rows[9 + perm[i]] for i in range(3)]),
+            self.sign)
 
     def change_coordinates(self, g: Matrix,
                            variables: Optional[Sequence[str]] = None,
                            ) -> "NonSyzygeticEquation":
         """Substitute x -> g*x (columns of g are the new basis vectors),
         i.e. each form's coefficient row is multiplied by g on the right:
-        one 12x6 * 6x6 product of the transposed coefficient matrix."""
+        one 12x6 * 6x6 product."""
         names = tuple(variables) if variables is not None else self.variables
-        rows = (self.coefficient_matrix().transpose() * g).data
-        return NonSyzygeticEquation.from_coefficients(
-            self.field, [rows[3 * i:3 * i + 3] for i in range(3)], rows[9:],
-            self.sign, names)
+        return NonSyzygeticEquation(self.field, names, self.coeffs * g,
+                                    self.sign)
 
     @classmethod
     def random(cls, field: Field, rng, variables: Sequence[str] = DEFAULT_VARIABLES,
                require_rank6: bool = True) -> "NonSyzygeticEquation":
         """Random tuple; resamples until the coefficient map has rank 6."""
         while True:
-            m_rows = [[[field.random(rng) for _ in range(6)] for _ in range(3)]
-                      for _ in range(3)]
-            l_rows = [[field.random(rng) for _ in range(6)] for _ in range(3)]
-            eq = cls.from_coefficients(field, m_rows, l_rows,
-                                       rng.choice((1, -1)), variables)
+            rows = [[field.random(rng) for _ in range(6)] for _ in range(12)]
+            eq = cls.from_coefficients(field, rows, rng.choice((1, -1)),
+                                       variables)
             if not require_rank6 or eq.coefficient_matrix().rank() == 6:
                 return eq
 
@@ -135,48 +153,30 @@ class DegenerateTupleError(ValueError):
     pass
 
 
-def coefficient_map(eq: NonSyzygeticEquation) -> Matrix:
-    return eq.coefficient_matrix()
-
-
 def gale_dual(eq: NonSyzygeticEquation) -> NonSyzygeticEquation:
-    """The Gale dual tuple: kernel rows of the coefficient map, read as
-    twelve linear forms in dual variables, with the opposite sign.
+    """The Gale dual tuple: the kernel rows of the coefficient map are its
+    coefficient rows, in dual variables, with the opposite sign.
 
     Applied to a minus tuple, the first dual L form is negated internally so
     that the transform stays an involution on plus-normalised presentations.
     """
-    plus = eq.plus_normalized()
-    c = plus.coefficient_matrix()
+    c = eq.plus_normalized().coefficient_matrix()
     if c.rank() != 6:
         raise DegenerateTupleError("degenerate tuple: kernel dimension exceeds 6")
     kernel = c.kernel_basis()            # 12x6, canonical
-    dual_vars = dual_variable_names(eq.variables)
-    field = eq.field
-    rows = [
-        MultiPoly.linear_form(field, dual_vars, kernel.data[i])
-        for i in range(12)
-    ]
-    sign_out = -eq.sign
-    l1 = rows[9] if eq.sign == 1 else rows[9].scale(field.neg(field.one()))
-    mk = [[rows[3 * i + j] for j in range(3)] for i in range(3)]
-    return NonSyzygeticEquation(field, dual_vars, mk, [l1, rows[10], rows[11]],
-                                sign_out)
+    if eq.sign == -1:
+        kernel = _negate_l1(kernel)
+    return NonSyzygeticEquation(eq.field, dual_variable_names(eq.variables),
+                                kernel, -eq.sign)
 
 
 def composition_is_zero(eq: NonSyzygeticEquation,
                         dual: NonSyzygeticEquation) -> bool:
     """Exact check that the coefficient maps annihilate each other:
     C * K = 0 with C the 6x12 coefficient matrix of ``eq`` and K the
-    transposed coefficient matrix of ``dual``.  The internal L1 sign flip
-    for minus tuples makes this hold for raw matrices on both sides."""
-    c = eq.coefficient_matrix()
-    k = dual.coefficient_matrix()
-    return (c * k.transpose()).is_zero()
-
-
-def cubic_polynomial(eq: NonSyzygeticEquation) -> MultiPoly:
-    return eq.cubic_polynomial()
+    12x6 coefficient rows of ``dual``.  The internal L1 sign flip for minus
+    tuples makes this hold for raw matrices on both sides."""
+    return (eq.coefficient_matrix() * dual.coeffs).is_zero()
 
 
 # -- multiplier systems -------------------------------------------------------
@@ -283,16 +283,8 @@ def scroll_membership(eq: NonSyzygeticEquation, i: int,
     if Matrix(eq.field, [list(r) for r in rowpair]).rank() != 2:
         raise ValueError("generalised rows are linearly dependent")
     field = eq.field
-    ring = PolyRing(field, eq.variables)
-    rows = []
-    for coeffs in rowpair:
-        row = []
-        for j in range(3):
-            acc = ring.zero()
-            for r in range(3):
-                acc = acc + eq.m[r][j].scale(coeffs[r])
-            row.append(acc)
-        rows.append(row)
+    rows = [[MultiPoly.linear_form(field, eq.variables, c)
+             for c in eq.m_product(v, left=True).data] for v in rowpair]
     minors = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
         minors.append(rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a])
@@ -313,15 +305,10 @@ def scroll_point(eq: NonSyzygeticEquation, i: int,
         s, t = field.random(rng), field.random(rng)
         if field.is_zero(s) and field.is_zero(t):
             continue
-        forms = []
-        for j in range(3):
-            acc = MultiPoly.zero(field, eq.variables)
-            for r in range(3):
-                acc = acc + eq.m[r][j].scale(field.mul(s, rowpair[0][r]))
-                acc = acc + eq.m[r][j].scale(field.mul(t, rowpair[1][r]))
-            forms.append(acc)
-        forms.append(eq.l_forms[i - 1])
-        mat = Matrix(field, [f.linear_coefficients() for f in forms])
+        v = [field.add(field.mul(s, a), field.mul(t, b))
+             for a, b in zip(rowpair[0], rowpair[1])]
+        mat = eq.m_product(v, left=True).vstack(
+            eq.coeffs.submatrix([8 + i], range(6)))
         ker = mat.kernel_basis()
         if ker.cols == 0:
             return None

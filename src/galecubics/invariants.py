@@ -20,7 +20,7 @@ from .gale import NonSyzygeticEquation
 from .lagrangian import (QPPresentation, RhoLagrangianData, adapted_presentation,
                          equations_from_hats)
 from .linalg import Matrix, det_cofactor
-from .poly import MultiPoly, PolyRing
+from .poly import MultiPoly, PolyRing, scalar_multiple
 
 LEX3_VARIABLES: Tuple[str, ...] = tuple(f"y{i}" for i in range(20))
 PROJECTED_VARIABLES: Tuple[str, ...] = tuple(f"X{i}" for i in range(10))
@@ -98,14 +98,6 @@ def big_cubics(field: Field, frame: Optional[CoordinateFrame] = None,
             two * det_f + sigma * frame.l_f())
 
 
-def apply_lex3_action(poly: MultiPoly, action: Matrix) -> MultiPoly:
-    """Substitute y -> action * y (the polynomial pulled back along the map)."""
-    field = poly.field
-    images = [MultiPoly.linear_form(field, LEX3_VARIABLES, action.data[i])
-              for i in range(20)]
-    return poly.subs(images)
-
-
 def block_diagonal6(field: Field, g: Sequence[Sequence[Element]],
                     h: Sequence[Sequence[Element]]) -> List[List[Element]]:
     z = field.zero()
@@ -115,21 +107,6 @@ def block_diagonal6(field: Field, g: Sequence[Sequence[Element]],
             out[i][j] = g[i][j]
             out[3 + i][3 + j] = h[i][j]
     return out
-
-
-def observed_scalar(transformed: MultiPoly, original: MultiPoly) -> Optional[Element]:
-    """c with transformed = c * original, or None if not proportional."""
-    if original.is_zero() or transformed.is_zero():
-        return None
-    if set(transformed.terms) != set(original.terms):
-        return None
-    k = original.field
-    mono = next(iter(original.terms))
-    c = k.div(transformed.terms[mono], original.terms[mono])
-    for m, v in original.terms.items():
-        if transformed.terms[m] != k.mul(c, v):
-            return None
-    return c
 
 
 @dataclass
@@ -161,7 +138,7 @@ def invariance_report(field: Field, g: Sequence[Sequence[Element]],
     scalars, invariant = {}, {}
     one = field.one()
     for name, poly in candidates.items():
-        c = observed_scalar(apply_lex3_action(poly, action), poly)
+        c = scalar_multiple(poly.linear_substitution(action, LEX3_VARIABLES), poly)
         scalars[name] = c
         invariant[name] = c == one
     return InvarianceReport(scalars, invariant)
@@ -207,29 +184,30 @@ def project_cubics(data: RhoLagrangianData,
     basis = pres.adapted_basis()
     cols_lex = [lex3_coordinates(from_frame_coordinates(field, basis.column(j)))
                 for j in range(10)]
-    images = [MultiPoly.linear_form(field, PROJECTED_VARIABLES,
-                                    [cols_lex[j][t] for j in range(10)])
-              for t in range(20)]
-    frame = build_frame(field)
-    xt_e, xt_f = big_cubics(field, frame)
-    restricted_e = xt_e.subs(images)
-    restricted_f = xt_f.subs(images)
+    restriction = Matrix.from_columns(field, cols_lex)     # 20 x 10
+    xt_e, xt_f = big_cubics(field)
+    restricted_e = xt_e.linear_substitution(restriction, PROJECTED_VARIABLES)
+    restricted_f = xt_f.linear_substitution(restriction, PROJECTED_VARIABLES)
     cone_e_ok = all(restricted_e.degree_in(i) == 0 for i in range(4))
     cone_f_ok = all(restricted_f.degree_in(i) == 0 for i in range(4, 8))
 
     vars_e = ("X4", "X5", "X6", "X7", "X8", "X9")
     vars_f = ("X0", "X1", "X2", "X3", "X8", "X9")
-    eq_plus, _ = equations_from_hats(field, pres.qhat, pres.phat, variables=vars_e)
-    _, eq_minus = equations_from_hats(field, pres.qhat, pres.phat, variables=vars_e)
-    eq_minus = _rename_tuple(eq_minus, vars_f)
+    eq_plus, eq_minus = equations_from_hats(field, pres.qhat, pres.phat,
+                                            variables=vars_e)
+    eq_minus = NonSyzygeticEquation(field, vars_f, eq_minus.coeffs,
+                                    eq_minus.sign)
 
     two = field.from_int(2)
     # eq_plus carries the involution swapping X8 and X9; undo it for the
     # comparison with the raw restriction.
     swap = list(range(10))
     swap[8], swap[9] = 9, 8
-    expected_e = _embed10(eq_plus.cubic_polynomial(), vars_e).permute_variables(swap)
-    expected_f = _embed10(eq_minus.cubic_polynomial(), vars_f)
+    expected_e = eq_plus.cubic_polynomial().linear_substitution(
+        coordinate_embedding(field, vars_e), PROJECTED_VARIABLES
+    ).permute_variables(swap)
+    expected_f = eq_minus.cubic_polynomial().linear_substitution(
+        coordinate_embedding(field, vars_f), PROJECTED_VARIABLES)
     report = ProjectionReport(
         cone_e_ok, cone_f_ok,
         restricted_e == expected_e.scale(two),
@@ -238,17 +216,8 @@ def project_cubics(data: RhoLagrangianData,
     return eq_plus, eq_minus, report
 
 
-def _rename_tuple(eq: NonSyzygeticEquation, names) -> NonSyzygeticEquation:
-    m = [[p.rename(names) for p in row] for row in eq.m]
-    ls = [p.rename(names) for p in eq.l_forms]
-    return NonSyzygeticEquation(eq.field, tuple(names), m, ls, eq.sign)
-
-
-def _embed10(poly: MultiPoly, six_names: Sequence[str]) -> MultiPoly:
-    """Re-express a polynomial in six of the X0..X9 coordinates as a
-    10-variable polynomial."""
-    field = poly.field
-    images = [MultiPoly.variable(field, PROJECTED_VARIABLES,
-                                 PROJECTED_VARIABLES.index(v))
-              for v in six_names]
-    return poly.subs(images)
+def coordinate_embedding(field: Field, names: Sequence[str]) -> Matrix:
+    """The 0/1 rows sending each of ``names`` to its coordinate among
+    X0..X9 (a substitution matrix for :meth:`MultiPoly.linear_substitution`)."""
+    return Matrix.identity(field, 10).submatrix(
+        [PROJECTED_VARIABLES.index(v) for v in names], range(10))

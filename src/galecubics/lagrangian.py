@@ -22,7 +22,6 @@ from .exterior import ExteriorElement, from_frame_coordinates, frame_coordinates
 from .fields import Element, Field
 from .gale import NonSyzygeticEquation, gale_dual
 from .linalg import Matrix, same_column_span
-from .poly import MultiPoly
 
 
 class LagrangianValidationError(ValueError):
@@ -54,10 +53,6 @@ class RhoLagrangianData:
 
     def bottom(self) -> Matrix:
         return self.matrix.submatrix(range(10, 20), range(self.matrix.cols))
-
-    def columns_as_elements(self) -> List[ExteriorElement]:
-        return [from_frame_coordinates(self.field, self.matrix.column(j))
-                for j in range(self.matrix.cols)]
 
     def same_subspace(self, other: "RhoLagrangianData") -> bool:
         return same_column_span(self.matrix, other.matrix)
@@ -205,17 +200,13 @@ def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
     plus_perm = plus_side.permute_l_forms(perm)
     minus_perm = minus_side.permute_l_forms(perm)
 
-    g = _trailing_normalizer(field,
-                             plus_perm.l_forms[1].linear_coefficients(),
-                             plus_perm.l_forms[2].linear_coefficients())
+    g = _trailing_normalizer(field, *plus_perm.coeffs.data[10:])
     normalized_eq = plus_perm.change_coordinates(g)
-    h = _trailing_normalizer(field,
-                             minus_perm.l_forms[1].linear_coefficients(),
-                             minus_perm.l_forms[2].linear_coefficients())
+    h = _trailing_normalizer(field, *minus_perm.coeffs.data[10:])
     normalized_dual = minus_perm.change_coordinates(h)
 
-    qhat = normalized_eq.coefficient_matrix().transpose()    # 12x6
-    phat = normalized_dual.coefficient_matrix().transpose()  # 12x6
+    qhat = normalized_eq.coeffs      # 12x6
+    phat = normalized_dual.coeffs    # 12x6
     if not (qhat.transpose() * phat).is_zero():
         raise SplittingError("internal inconsistency: Qhat^t Phat != 0")
 
@@ -338,13 +329,8 @@ def equations_from_hats(field: Field, qhat: Matrix, phat: Matrix,
     from .gale import dual_variable_names
     dual_vars = dual_variable_names(variables)
 
-    def tuple_from(mat: Matrix, names, sign: int) -> NonSyzygeticEquation:
-        rows = [MultiPoly.linear_form(field, names, mat.data[r]) for r in range(12)]
-        m = [[rows[3 * a + b] for b in range(3)] for a in range(3)]
-        return NonSyzygeticEquation(field, tuple(names), m,
-                                    [rows[9], rows[10], rows[11]], sign)
-
-    return tuple_from(qhat, variables, 1), tuple_from(phat, dual_vars, -1)
+    return (NonSyzygeticEquation(field, tuple(variables), qhat, 1),
+            NonSyzygeticEquation(field, dual_vars, phat, -1))
 
 
 def gale_from_lagrangian(data: RhoLagrangianData,

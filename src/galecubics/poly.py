@@ -210,6 +210,13 @@ class MultiPoly:
             out = out + term
         return out
 
+    def linear_substitution(self, a, variables: Sequence[str]) -> "MultiPoly":
+        """Substitute ``x_i -> sum_k a[i][k] * y_k`` for a matrix ``a`` with
+        one row per variable, ``y`` the target ``variables``: the pull-back
+        along the linear map with matrix ``a``."""
+        return self.subs([MultiPoly.linear_form(self.field, variables, row)
+                          for row in a.data])
+
     def rename(self, variables: Sequence[str]) -> "MultiPoly":
         if len(variables) != len(self.variables):
             raise ValueError("variable count mismatch")
@@ -334,16 +341,19 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
     return out
 
 
-def proportional(p: MultiPoly, q: MultiPoly) -> bool:
-    """True when p = c*q for some nonzero scalar c (or both are zero)."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    if set(p.terms) != set(q.terms):
-        return False
+def scalar_multiple(p: MultiPoly, q: MultiPoly) -> Optional[Element]:
+    """The scalar c with p = c*q: ``one`` when both are zero, None when they
+    are not proportional (in particular when exactly one of them is zero)."""
     k = p.field
-    mono = next(iter(p.terms))
+    if p.is_zero() or q.is_zero():
+        return k.one() if p.is_zero() and q.is_zero() else None
+    if p.terms.keys() != q.terms.keys():
+        return None
+    mono = next(iter(q.terms))
     c = k.div(p.terms[mono], q.terms[mono])
-    return all(p.terms[m] == k.mul(c, q.terms[m]) for m in q.terms)
+    if all(p.terms[m] == k.mul(c, v) for m, v in q.terms.items()):
+        return c
+    return None
 
 
 # -- univariate helpers (coefficient lists, low degree first) ---------------

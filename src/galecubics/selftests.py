@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from .epw import (EPWPoint, epw_contains, epw_line_degree, epw_points_on_line,
-                  epw_to_lines, harvest_epw_points, line_to_epw,
+from .epw import (EPWPoint, conic_covector, epw_contains, epw_line_degree,
+                  epw_points_on_line, epw_to_lines, harvest_epw_points, line_to_epw,
                   residual_conic, rho_plane_condition, sigma_plane_point,
                   sigma_planes_disjoint, sigma_prime_plane_point)
 from .equivariant import (A4FamilyParams, a4_family, a4_point_and_covector_maps,
@@ -31,7 +31,7 @@ from .lattice import (GlueContext, anti_isometric_subgroup_count,
                       group_action_orbits)
 from .linalg import Matrix
 from .gmlink import Z15Ideal, E_SIDE, F_SIDE, ideal_membership_deg3
-from .poly import MultiPoly, proportional
+from .poly import MultiPoly, scalar_multiple
 from .exterior import frame_covector, orientation_pair
 
 DEFAULT_SEED = 61320
@@ -122,21 +122,17 @@ def check_projection_roundtrip(seed: int = DEFAULT_SEED,
             return False, f"cone/restriction check failed (sample {n})"
         ginv = pres.g.inverse()
         hinv = pres.h.inverse()
-        plus_back = eq_plus.cubic_polynomial().rename(
-            pres.normalized_eq.variables).subs(
-            [MultiPoly.linear_form(field, pres.normalized_eq.variables,
-                                   ginv.data[r]) for r in range(6)])
-        minus_back = eq_minus.cubic_polynomial().rename(
-            pres.normalized_dual.variables).subs(
-            [MultiPoly.linear_form(field, pres.normalized_dual.variables,
-                                   hinv.data[r]) for r in range(6)])
+        plus_back = eq_plus.cubic_polynomial().linear_substitution(
+            ginv, pres.normalized_eq.variables)
+        minus_back = eq_minus.cubic_polynomial().linear_substitution(
+            hinv, pres.normalized_dual.variables)
         plus_original = eq if eq.sign == 1 else gale_dual(eq)
         minus_original = gale_dual(eq) if eq.sign == 1 else eq
-        if not proportional(plus_back, plus_original.cubic_polynomial()):
+        if scalar_multiple(plus_back, plus_original.cubic_polynomial()) is None:
             return False, f"plus cubic not reproduced (sample {n})"
-        if not proportional(minus_back,
-                            minus_original.cubic_polynomial().rename(
-                                pres.normalized_dual.variables)):
+        if scalar_multiple(minus_back,
+                           minus_original.cubic_polynomial().rename(
+                               pres.normalized_dual.variables)) is None:
             return False, f"minus cubic not reproduced (sample {n})"
         count += 1
     return True, f"{count} cone projections reproduce both cubics up to scalar"
@@ -249,9 +245,7 @@ def check_singular_conics(seed: int = DEFAULT_SEED, per_instance: int = 20) -> T
         tested = 0
         while tested < per_instance:
             p = EPWPoint.make(field, [field.random(rng) for _ in range(6)])
-            raw = p if eq.sign == 1 else EPWPoint.make(
-                field, list(p.f_part) + list(p.e_part))
-            if epw_contains(data, raw)[0]:
+            if epw_contains(data, conic_covector(eq, p))[0]:
                 continue
             try:
                 conic = residual_conic(eq, 1, p)

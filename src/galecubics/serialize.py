@@ -70,10 +70,8 @@ def equation_to_json(eq: NonSyzygeticEquation) -> dict:
     field = eq.field
     return {
         "variables": list(eq.variables),
-        "matrix": [vector_to_json(field, eq.m[i][j].linear_coefficients())
-                   for i in range(3) for j in range(3)],
-        "linear_forms": [vector_to_json(field, f.linear_coefficients())
-                         for f in eq.l_forms],
+        "matrix": [vector_to_json(field, row) for row in eq.coeffs.data[:9]],
+        "linear_forms": [vector_to_json(field, row) for row in eq.coeffs.data[9:]],
         "sign": eq.sign,
     }
 
@@ -85,16 +83,13 @@ def equation_from_json(field: Field, data: dict) -> NonSyzygeticEquation:
             or not all(isinstance(v, str) for v in variables)
             or len(set(variables)) != 6):
         raise ValueError("variables must be a list of six distinct names")
-    rows = _list(_key(data, "matrix"), "matrix", 9)
-    m_rows = [[vector_from_json(field, rows[3 * i + j]) for j in range(3)]
-              for i in range(3)]
-    l_rows = [vector_from_json(field, r)
-              for r in _list(_key(data, "linear_forms"), "linear_forms", 3)]
+    rows = [vector_from_json(field, r) for r in
+            _list(_key(data, "matrix"), "matrix", 9)
+            + _list(_key(data, "linear_forms"), "linear_forms", 3)]
     sign = data.get("sign", 1)
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
-    return NonSyzygeticEquation.from_coefficients(
-        field, m_rows, l_rows, sign, variables)
+    return NonSyzygeticEquation.from_coefficients(field, rows, sign, variables)
 
 
 def lagrangian_to_json(data: RhoLagrangianData) -> list:
@@ -104,6 +99,8 @@ def lagrangian_to_json(data: RhoLagrangianData) -> list:
 
 def lagrangian_from_json(field: Field, columns: list) -> RhoLagrangianData:
     cols = [vector_from_json(field, col) for col in _list(columns, "lagrangian")]
+    if not cols:
+        raise ValueError("lagrangian lists no columns")
     for col in cols:
         if len(col) != 20:
             raise ValueError("subspace columns must have 20 coordinates")
@@ -141,8 +138,11 @@ class InstanceFile:
     def line_points(self):
         if "line" not in self.payload:
             raise ValueError("no line given (instance field 'line': two points)")
-        pts = _list(self.payload["line"], "line", 2)
-        return [vector_from_json(self.field, p) for p in pts]
+        pts = [vector_from_json(self.field, p)
+               for p in _list(self.payload["line"], "line", 2)]
+        if any(len(p) != 6 for p in pts):
+            raise ValueError("line points must have six coordinates")
+        return pts
 
     def params(self) -> A4FamilyParams:
         raw = self.payload.get("params")

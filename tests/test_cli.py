@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -341,11 +342,9 @@ DAMAGE = [
 ]
 
 
-@st.composite
-def damaged_instances(draw):
-    payload, _ = sample_instance(3)
-    path, values = draw(st.sampled_from(DAMAGE))
-    value = draw(values)
+def damage(payload, path, value):
+    """``payload`` with the value at ``path`` replaced (deleted when the path
+    ends in None)."""
     if not path:
         return value
     *parents, last = path
@@ -361,7 +360,165 @@ def damaged_instances(draw):
     return payload
 
 
+@st.composite
+def damaged_instances(draw):
+    payload, _ = sample_instance(3)
+    path, values = draw(st.sampled_from(DAMAGE))
+    return damage(payload, path, draw(values))
+
+
 @settings(max_examples=150, deadline=None)
 @given(damaged_instances(), st.sampled_from(BAD_INPUT_COMMANDS))
 def test_wrongly_shaped_instances_give_one_error_line(payload, argv):
     assert_one_line_error(argv, payload)
+
+
+# -- the point, line and subspace inputs ------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def point_line_instances():
+    """JSON text of a subspace instance with a member point, and of an
+    equation instance with a line on its cubic (each command exits 0 on
+    it), so that a damaged copy fails only because of the damage."""
+    from galecubics.epw import epw_to_lines, harvest_epw_points
+    from galecubics.lagrangian import lagrangian_from_gale
+    _, eq = sample_instance(8, sign=1)
+    data, _ = lagrangian_from_gale(eq, 1)
+    for hp in harvest_epw_points(eq, 1, data, random.Random(3), 10):
+        split = epw_to_lines(eq, 1, hp.point)
+        if split.lines is not None:
+            break
+    pts = split.lines[0].parametrization()
+    with_point = make_instance(FIELD, eq, data,
+                               extra={"point": [int(c) for c in hp.point.coords]})
+    with_line = make_instance(FIELD, eq, extra={
+        "line": [[int(x) for x in pts.column(j)] for j in range(2)]})
+    return json.dumps(with_point), json.dumps(with_line)
+
+
+def is_six_ints(value):
+    return (isinstance(value, list) and len(value) == 6
+            and all(type(v) is int or isinstance(v, str) and parses_as_int(v)
+                    for v in value))
+
+
+def is_point_text(text):
+    """Whether ``--point`` would accept the text as six integers."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    return len(tokens) == 6 and all(parses_as_int(tok) for tok in tokens)
+
+
+not_a_coordinate = json_values.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, int)
+    and not (isinstance(v, str) and parses_as_int(v)))
+
+# command, the instance it reads (0: subspace and point, 1: equation and
+# line), and (path, wrongly shaped values) pairs as in DAMAGE
+POINT_LINE_DAMAGE = [
+    (["epw", "contains"], 0, [
+        (("point",), json_values.filter(lambda v: not is_six_ints(v))),
+        (("point", 2), not_a_coordinate),
+        (("point", None), st.none()),
+        (("lagrangian",), json_values.filter(lambda v: not isinstance(v, list))),
+    ]),
+    (["fano", "to-epw"], 1, [
+        (("line",), json_values.filter(
+            lambda v: not (isinstance(v, list) and len(v) == 2))),
+        (("line", 1), json_values.filter(lambda v: not is_six_ints(v))),
+        (("line", 0, 4), not_a_coordinate),
+        (("line", None), st.none()),
+        (("equation",), json_values.filter(lambda v: not isinstance(v, dict))),
+    ]),
+    (["lagrangian", "check"], 0, [
+        (("lagrangian",), json_values.filter(lambda v: not isinstance(v, list))
+         | st.just([])),
+        (("lagrangian", 3), json_values.filter(
+            lambda v: not (isinstance(v, list) and len(v) == 20))),
+        (("lagrangian", 5, 7), not_a_coordinate),
+        (("lagrangian", None), st.none()),
+    ]),
+]
+
+
+@st.composite
+def damaged_point_line_commands(draw):
+    argv, which, table = draw(st.sampled_from(POINT_LINE_DAMAGE))
+    path, values = draw(st.sampled_from(table))
+    payload = json.loads(point_line_instances()[which])
+    return argv, damage(payload, path, draw(values))
+
+
+def test_point_line_instances_are_accepted():
+    with_point, with_line = point_line_instances()
+    for argv, text in ((["epw", "contains"], with_point),
+                       (["fano", "to-epw"], with_line),
+                       (["lagrangian", "check"], with_point)):
+        code, _, err = run_quiet(argv, text)
+        assert code == 0 and err == ""
+
+
+@settings(max_examples=120, deadline=None)
+@given(damaged_point_line_commands())
+def test_wrongly_shaped_points_lines_and_subspaces_give_one_error_line(case):
+    argv, payload = case
+    assert_one_line_error(argv, payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=30).filter(lambda t: not is_point_text(t)))
+def test_malformed_point_option_gives_one_error_line(text):
+    code, out, err = run_quiet(["epw", "contains", f"--point={text}"],
+                               point_line_instances()[0])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["0,0,0,0,0,0", "1,2,3,4,5", "1,2,3,4,5,6,7",
+                                  "1,2,x,4,5,6", "1,2,1/2,4,5,6", "1.5,1,1,1,1,1"])
+def test_point_option_errors(text):
+    code, out, err = run_quiet(["epw", "contains", f"--point={text}"],
+                               point_line_instances()[0])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["lagrangian", "check"], ["epw", "contains"]])
+def test_empty_subspace_is_malformed(argv):
+    payload = json.loads(point_line_instances()[0])
+    payload["lagrangian"] = []
+    assert_one_line_error(argv, payload, "lagrangian lists no columns")
+
+
+# -- the field of an instance -------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["gale", "dual"], ["smooth", "check"]])
+def test_field_option_must_match_the_instance(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, ["a4", "emit", "--field", "prime:97"])
+    assert code == 0
+    src = tmp_path / "family.json"
+    src.write_text(out)
+    for field in ("rationals", "prime:101", "cyclotomic3:5"):
+        code, out, err = run_cli(capsys, argv + ["-i", str(src), "--field", field])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --field") and err.count("\n") == 1, err
+    code, out, err = run_cli(capsys, argv + ["-i", str(src), "--field", "prime:97"])
+    assert code == 0 and err == ""
+    assert run_cli(capsys, argv + ["-i", str(src)])[1] == out
+
+
+def test_huge_prime_is_refused_at_once():
+    import subprocess
+    import sys
+    import time
+    payload = '{"field": "prime:2305843009213693951", "equation": {}}'
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "galecubics.cli", "gale", "dual"],
+                          input=payload, capture_output=True, text=True,
+                          timeout=5)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: missing key 'matrix'\n"
+    too_big = payload.replace("2305843009213693951", str(2 ** 89 - 1))
+    code, out, err = run_quiet(["gale", "dual"], too_big)
+    assert code == 2 and out == ""
+    assert "too large to certify" in err and err.count("\n") == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galecubics.fields import (QQ, Cyclotomic3, PrimeField, cyclotomic3,
-                               parse_field)
+                               is_prime, parse_field)
 
 from conftest import ALL_FIELDS
 
@@ -79,6 +79,41 @@ def test_extension_only_when_irreducible():
 def test_prime_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(91)
+
+
+def trial_division_is_prime(n):
+    """The trial-division test that Miller-Rabin replaced."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+def test_is_prime_refuses_pseudoprimes_and_accepts_large_primes():
+    assert not is_prime(561)              # Carmichael number
+    assert not is_prime(3215031751)       # strong pseudoprime to 2, 3, 5, 7
+    # strong pseudoprime to every prime base up to 37: base 41 decides
+    assert not is_prime(318665857834031151167461)
+    for p in (2 ** 61 - 1, 2 ** 31 - 1, 10 ** 18 + 9):
+        assert is_prime(p)
+        assert PrimeField(p).p == p
+    assert not is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+
+
+def test_is_prime_refuses_numbers_it_cannot_decide():
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        parse_field(f"prime:{2 ** 89 - 1}")
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.descriptor)

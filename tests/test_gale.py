@@ -10,19 +10,24 @@ from galecubics.linalg import Matrix
 from galecubics.poly import MultiPoly
 
 
-def unit_form(field, idx, variables=DEFAULT_VARIABLES):
+def unit_row(field, idx):
     coeffs = [field.zero()] * 6
     coeffs[idx] = field.one()
-    return MultiPoly.linear_form(field, variables, coeffs)
+    return coeffs
+
+
+def diagonal_rows(field):
+    """Coefficient rows of M = diag(X0, X1, X2) and L = (X3, X4, X5)."""
+    z = [field.zero()] * 6
+    return [unit_row(field, 0), z, z,
+            z, unit_row(field, 1), z,
+            z, z, unit_row(field, 2),
+            unit_row(field, 3), unit_row(field, 4), unit_row(field, 5)]
 
 
 def diagonal_tuple(field, sign=1):
-    z = MultiPoly.zero(field, DEFAULT_VARIABLES)
-    m = [[unit_form(field, 0), z, z],
-         [z, unit_form(field, 1), z],
-         [z, z, unit_form(field, 2)]]
-    ls = [unit_form(field, 3), unit_form(field, 4), unit_form(field, 5)]
-    return NonSyzygeticEquation(field, DEFAULT_VARIABLES, m, ls, sign)
+    return NonSyzygeticEquation.from_coefficients(field, diagonal_rows(field),
+                                                  sign)
 
 
 def test_coefficient_map_of_diagonal_tuple():
@@ -36,8 +41,9 @@ def test_coefficient_map_of_diagonal_tuple():
 
 def test_coefficient_map_zero_l3_column():
     field = QQ
-    eq = diagonal_tuple(field)
-    eq.l_forms[2] = MultiPoly.zero(field, DEFAULT_VARIABLES)
+    rows = diagonal_rows(field)
+    rows[11] = [field.zero()] * 6
+    eq = NonSyzygeticEquation.from_coefficients(field, rows, 1)
     c = eq.coefficient_matrix()
     assert all(field.is_zero(x) for x in c.column(11))
 
@@ -48,23 +54,17 @@ def test_cubic_polynomial_examples():
     cubic = eq.cubic_polynomial()
     assert cubic == MultiPoly(field, DEFAULT_VARIABLES, {
         (1, 1, 1, 0, 0, 0): field.one(), (0, 0, 0, 1, 1, 1): field.one()})
-    zero = MultiPoly.zero(field, DEFAULT_VARIABLES)
-    eq2 = NonSyzygeticEquation(field, DEFAULT_VARIABLES,
-                               [[zero] * 3 for _ in range(3)],
-                               list(eq.l_forms), -1)
+    eq2 = NonSyzygeticEquation.from_coefficients(
+        field, [[field.zero()] * 6] * 9 + eq.coeffs.data[9:], -1)
     assert eq2.cubic_polynomial() == MultiPoly(field, DEFAULT_VARIABLES, {
         (0, 0, 0, 1, 1, 1): field.from_int(-1)})
 
 
 def test_gale_dual_rejects_degenerate():
     field = QQ
-    eq = diagonal_tuple(field)
+    m0 = diagonal_rows(field)[:3]
     # make two equal matrix rows and L forms inside their span
-    eq.m[1] = [p for p in eq.m[0]]
-    eq.m[2] = [p for p in eq.m[0]]
-    eq.l_forms[0] = eq.m[0][0]
-    eq.l_forms[1] = eq.m[0][0]
-    eq.l_forms[2] = eq.m[0][0]
+    eq = NonSyzygeticEquation.from_coefficients(field, m0 * 3 + [m0[0]] * 3, 1)
     with pytest.raises(DegenerateTupleError):
         gale_dual(eq)
 
@@ -184,17 +184,19 @@ def test_validity_flag():
     field = QQ
     eq = diagonal_tuple(field)
     assert eq.is_valid()
-    eq.l_forms[1] = eq.l_forms[0]
-    eq.l_forms[2] = eq.l_forms[0].scale(field.from_int(3))
+    l1 = eq.coeffs.data[9]
+    eq = NonSyzygeticEquation.from_coefficients(
+        field, eq.coeffs.data[:10] + [l1, [field.from_int(3) * c for c in l1]], 1)
     assert not eq.is_valid()
 
 
 def change_coordinates_by_subs(eq, g, names):
     """Reference: substitute x_i -> sum_k g[i][k] y_k into every form."""
     images = [MultiPoly.linear_form(eq.field, names, g.data[i]) for i in range(6)]
-    mk = [[eq.m[i][j].subs(images) for j in range(3)] for i in range(3)]
-    ls = [f.subs(images) for f in eq.l_forms]
-    return NonSyzygeticEquation(eq.field, tuple(names), mk, ls, eq.sign)
+    forms = [f for row in eq.m for f in row] + list(eq.l_forms)
+    return NonSyzygeticEquation.from_coefficients(
+        eq.field, [f.subs(images).linear_coefficients() for f in forms],
+        eq.sign, names)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101), cyclotomic3(QQ)],
@@ -204,10 +206,50 @@ def test_change_coordinates_matches_substitution(field):
     renamed = ("Y0", "Y1", "Y2", "Y3", "Y4", "Y5")
     for n in range(10):
         eq = NonSyzygeticEquation.random(field, rng)
-        eq.m[n % 3][(n + 1) % 3] = MultiPoly.zero(field, DEFAULT_VARIABLES)
+        rows = list(eq.coeffs.data)
+        rows[3 * (n % 3) + (n + 1) % 3] = [field.zero()] * 6
+        eq = NonSyzygeticEquation.from_coefficients(field, rows, eq.sign)
         g = Matrix.random(field, 6, 6, rng)
         for names in (DEFAULT_VARIABLES, renamed):
             variables = None if names is DEFAULT_VARIABLES else names
             got = eq.change_coordinates(g, variables)
             assert got == change_coordinates_by_subs(eq, g, names)
             assert got.m[n % 3][(n + 1) % 3].is_zero()
+
+
+def test_tuple_is_its_coefficient_rows():
+    import dataclasses
+    field = PrimeField(101)
+    eq = NonSyzygeticEquation.random(field, random.Random(5))
+    assert [f.name for f in dataclasses.fields(eq)] == [
+        "field", "variables", "coeffs", "sign"]
+    assert eq.coefficient_matrix() == eq.coeffs.transpose()
+    forms = [f for row in eq.m for f in row] + list(eq.l_forms)
+    assert [f.linear_coefficients() for f in forms] == eq.coeffs.data
+    with pytest.raises(TypeError):
+        eq.m[0] = eq.m[1]
+    with pytest.raises(TypeError):
+        eq.l_forms[0] = eq.l_forms[1]
+    with pytest.raises(AttributeError):
+        eq.l_forms = ()
+    with pytest.raises(ValueError):
+        NonSyzygeticEquation.from_coefficients(field, eq.coeffs.data[:11], 1)
+    with pytest.raises(ValueError):
+        NonSyzygeticEquation.from_coefficients(
+            field, eq.coeffs.data[:11] + [[1, 2, 3, 4, 5]], 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), cyclotomic3(PrimeField(5))],
+                         ids=lambda f: f.descriptor)
+def test_m_product_matches_form_contraction(field):
+    rng = random.Random(41)
+    for _ in range(5):
+        eq = NonSyzygeticEquation.random(field, rng)
+        v = [field.random(rng) for _ in range(3)]
+        right = [sum((eq.m[r][j].scale(v[j]) for j in range(3)),
+                     MultiPoly.zero(field, eq.variables)) for r in range(3)]
+        left = [sum((eq.m[r][j].scale(v[r]) for r in range(3)),
+                    MultiPoly.zero(field, eq.variables)) for j in range(3)]
+        assert eq.m_product(v).data == [f.linear_coefficients() for f in right]
+        assert eq.m_product(v, left=True).data == [
+            f.linear_coefficients() for f in left]

@@ -7,7 +7,7 @@ from galecubics.fields import QQ, PrimeField
 from galecubics.gmlink import (E_SIDE, F_SIDE, Z15Ideal, big_cubic_membership,
                                build_n15, build_sigma15, dual_ten_tuples,
                                ideal_membership_deg3)
-from galecubics.invariants import LEX3_VARIABLES, apply_lex3_action, big_cubics
+from galecubics.invariants import LEX3_VARIABLES, big_cubics
 from galecubics.linalg import Matrix
 from galecubics.poly import MultiPoly, monomials_of_degree
 
@@ -76,7 +76,7 @@ def test_sigma15_invariant_under_block_action():
             for b in range(5):
                 g6.data[1 + a][1 + b] = g5.data[a][b]
         action = induced_grade3_matrix(field, g6.data, coords="lex3")
-        assert apply_lex3_action(sigma, action) == sigma
+        assert sigma.linear_substitution(action, LEX3_VARIABLES) == sigma
 
 
 def test_z15_ideal_quadrics():

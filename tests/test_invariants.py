@@ -5,13 +5,14 @@ import pytest
 from galecubics.exterior import ExteriorElement, from_frame_coordinates
 from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation, composition_is_zero, gale_dual
-from galecubics.invariants import (LEX3_VARIABLES, apply_lex3_action, big_cubics,
+from galecubics.invariants import (LEX3_VARIABLES, PROJECTED_VARIABLES, big_cubics,
+                                   coordinate_embedding,
                                    block_diagonal6, build_frame,
                                    generator_invariance, invariance_report,
                                    project_cubics, sigma_quadric,
                                    trace_plus_product)
 from galecubics.lagrangian import lagrangian_from_gale, swap_ef_matrix, validate
-from galecubics.poly import MultiPoly, proportional
+from galecubics.poly import MultiPoly, scalar_multiple
 
 from conftest import random_unimodular3
 
@@ -105,8 +106,8 @@ def test_big_cubics_invariant():
         h = random_unimodular3(field, rng).data
         action = induced_grade3_matrix(field, block_diagonal6(field, g, h),
                                        coords="lex3")
-        assert apply_lex3_action(xt_e, action) == xt_e
-        assert apply_lex3_action(xt_f, action) == xt_f
+        assert xt_e.linear_substitution(action, LEX3_VARIABLES) == xt_e
+        assert xt_f.linear_substitution(action, LEX3_VARIABLES) == xt_f
 
 
 @pytest.mark.parametrize("fieldname", ["rationals", "prime:101"])
@@ -124,12 +125,10 @@ def test_projection_roundtrip(fieldname):
         # the plus output, in the normalising coordinates, is the normalised
         # input tuple; undoing the coordinate change recovers the original
         ginv = pres.g.inverse()
-        back = eq_plus.cubic_polynomial().rename(pres.normalized_eq.variables)
-        back = back.subs([MultiPoly.linear_form(field,
-                                                pres.normalized_eq.variables,
-                                                ginv.data[r]) for r in range(6)])
+        back = eq_plus.cubic_polynomial().linear_substitution(
+            ginv, pres.normalized_eq.variables)
         original_plus = eq if eq.sign == 1 else gale_dual(eq)
-        assert proportional(back, original_plus.cubic_polynomial())
+        assert scalar_multiple(back, original_plus.cubic_polynomial()) is not None
 
 
 def test_projection_cone_property_without_presentation():
@@ -147,8 +146,8 @@ def test_swapping_blocks_swaps_outputs():
     # into the F-side restriction: with the transported adapted basis the two
     # pullbacks agree on the nose after relabelling the coordinate blocks
     from galecubics.exterior import lex3_coordinates
-    from galecubics.invariants import PROJECTED_VARIABLES
     from galecubics.lagrangian import adapted_presentation, swap_ef
+    from galecubics.linalg import Matrix
 
     field = PrimeField(101)
     rng = random.Random(9)
@@ -169,13 +168,26 @@ def test_swapping_blocks_swaps_outputs():
     def restrict(cubic, columns):
         cols_lex = [lex3_coordinates(from_frame_coordinates(field, c))
                     for c in columns]
-        images = [MultiPoly.linear_form(field, PROJECTED_VARIABLES,
-                                        [cols_lex[j][t] for j in range(10)])
-                  for t in range(20)]
-        return cubic.subs(images)
+        return cubic.linear_substitution(Matrix.from_columns(field, cols_lex),
+                                         PROJECTED_VARIABLES)
 
     xt_e, xt_f = big_cubics(field)
     restricted_e = restrict(xt_e, cols)
     restricted_f_t = restrict(xt_f, transported)
     perm = [4, 5, 6, 7, 0, 1, 2, 3, 8, 9]
     assert restricted_f_t.permute_variables(perm) == restricted_e
+
+
+def test_coordinate_embedding_matches_variable_images():
+    # the substitution of each variable by its X0..X9 coordinate variable
+    field = PrimeField(101)
+    rng = random.Random(12)
+    for names in (("X4", "X5", "X6", "X7", "X8", "X9"),
+                  ("X0", "X1", "X2", "X3", "X8", "X9")):
+        eq = NonSyzygeticEquation.random(field, rng, variables=names)
+        cubic = eq.cubic_polynomial()
+        images = [MultiPoly.variable(field, PROJECTED_VARIABLES,
+                                     PROJECTED_VARIABLES.index(v)) for v in names]
+        assert (cubic.linear_substitution(coordinate_embedding(field, names),
+                                          PROJECTED_VARIABLES)
+                == cubic.subs(images))

@@ -159,20 +159,18 @@ def test_ef_swap_is_an_involution_on_subspaces():
 
 def test_splitting_error_on_degenerate_l_configuration():
     field = QQ
-    from galecubics.gale import DEFAULT_VARIABLES
-    from galecubics.poly import MultiPoly
 
     def unit(idx):
         coeffs = [field.zero()] * 6
         coeffs[idx] = field.one()
-        return MultiPoly.linear_form(field, DEFAULT_VARIABLES, coeffs)
+        return coeffs
 
     rng = random.Random(11)
     while True:
         eq = NonSyzygeticEquation.random(field, rng)
         # L2 = L3: the trailing pair for choice 1 is dependent
-        eq.l_forms[1] = unit(4)
-        eq.l_forms[2] = unit(4)
+        eq = NonSyzygeticEquation.from_coefficients(
+            field, eq.coeffs.data[:10] + [unit(4), unit(4)], eq.sign)
         if eq.coefficient_matrix().rank() == 6:
             break
     with pytest.raises(SplittingError):

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galecubics.fields import QQ, PrimeField
+from galecubics.fields import QQ, PrimeField, cyclotomic3
+from galecubics.linalg import Matrix
 from galecubics.poly import (MultiPoly, lagrange_interpolate, monomials_of_degree,
-                             proportional, univariate_coeffs,
+                             scalar_multiple, univariate_coeffs,
                              univariate_from_coeffs, univariate_gcd)
 
 VARS = ("x", "y", "z")
@@ -118,12 +119,95 @@ def test_linear_coefficients_roundtrip():
 def test_proportional():
     k = QQ
     p = MultiPoly(k, VARS, {(1, 0, 0): k.from_int(2), (0, 1, 0): k.from_int(4)})
-    assert proportional(p, p.scale(k.from_int(7)))
+    assert scalar_multiple(p.scale(k.from_int(7)), p) == k.from_int(7)
     q = p + MultiPoly(k, VARS, {(0, 0, 1): k.one()})
-    assert not proportional(p, q)
+    assert scalar_multiple(p, q) is None
     zero = MultiPoly.zero(k, VARS)
-    assert proportional(zero, zero)
-    assert not proportional(p, zero)
+    assert scalar_multiple(zero, zero) == k.one()
+    assert scalar_multiple(p, zero) is None
+    assert scalar_multiple(zero, p) is None
+
+
+# The proportionality tests that scalar_multiple replaced, kept verbatim as
+# oracles: poly.proportional and invariants.observed_scalar.
+
+def reference_proportional(p, q):
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    if set(p.terms) != set(q.terms):
+        return False
+    k = p.field
+    mono = next(iter(p.terms))
+    c = k.div(p.terms[mono], q.terms[mono])
+    return all(p.terms[m] == k.mul(c, q.terms[m]) for m in q.terms)
+
+
+def reference_observed_scalar(transformed, original):
+    if original.is_zero() or transformed.is_zero():
+        return None
+    if set(transformed.terms) != set(original.terms):
+        return None
+    k = original.field
+    mono = next(iter(original.terms))
+    c = k.div(transformed.terms[mono], original.terms[mono])
+    for m, v in original.terms.items():
+        if transformed.terms[m] != k.mul(c, v):
+            return None
+    return c
+
+
+SUBSTITUTION_FIELDS = [QQ, PrimeField(101), cyclotomic3(PrimeField(5))]
+
+
+@pytest.mark.parametrize("field", SUBSTITUTION_FIELDS, ids=lambda f: f.descriptor)
+def test_scalar_multiple_matches_old_tests(field):
+    rng = random.Random(17)
+    zero = MultiPoly.zero(field, VARS)
+    pairs = [(zero, zero)]
+    for _ in range(30):
+        q = random_poly(field, rng, degree=2, density=0.4)
+        c = field.random(rng)
+        other = q + MultiPoly(field, VARS, {(2, 0, 0): field.random(rng)})
+        pairs += [(q.scale(c), q), (q, q), (other, q), (q, other),
+                  (zero, q), (q, zero)]
+    for p, q in pairs:
+        c = scalar_multiple(p, q)
+        assert (c is not None) == reference_proportional(p, q)
+        if p.is_zero() and q.is_zero():
+            # the one case where the two old tests disagreed
+            assert c == field.one() and reference_observed_scalar(p, q) is None
+        else:
+            assert c == reference_observed_scalar(p, q)
+        if c is not None:
+            assert p == q.scale(c)
+
+
+@pytest.mark.parametrize("field", SUBSTITUTION_FIELDS, ids=lambda f: f.descriptor)
+@pytest.mark.parametrize("n_source, n_target", [(6, 3), (20, 20), (6, 10)])
+def test_linear_substitution_matches_subs(field, n_source, n_target):
+    rng = random.Random(100 * n_source + n_target)
+    source = tuple(f"x{i}" for i in range(n_source))
+    target = tuple(f"y{i}" for i in range(n_target))
+    monos = [m for d in range(4) for m in monomials_of_degree(n_source, d)]
+    z = field.zero()
+    for trial in range(3):
+        p = MultiPoly(field, source, {m: field.random(rng)
+                                      for m in rng.sample(monos, 6)})
+        if trial == 0:       # a 0/1 embedding of the source coordinates
+            cols = rng.sample(range(n_target), min(n_source, n_target))
+            a = Matrix(field, [[field.one() if i < len(cols) and c == cols[i]
+                                else z for c in range(n_target)]
+                               for i in range(n_source)])
+        else:
+            a = Matrix.random(field, n_source, n_target, rng)
+            a.data[trial] = [z] * n_target          # a variable sent to zero
+        images = [MultiPoly.linear_form(field, target, a.data[i])
+                  for i in range(n_source)]
+        got = p.linear_substitution(a, target)
+        assert got.variables == target
+        assert got == p.subs(images)
+    zero = MultiPoly.zero(field, source)
+    assert zero.linear_substitution(a, target) == MultiPoly.zero(field, target)
 
 
 def test_univariate_gcd():
