@@ -28,7 +28,7 @@ from .invariants import build_frame, sigma_quadric, trace_plus_product
 from .lagrangian import (LagrangianValidationError, lagrangian_from_gale,
                          sigma_normal_form)
 from .lattice import GlueContext, enumerate_glue_groups, group_action_orbits
-from .selftests import DEFAULT_SEED, run_all
+from .selftests import BUDGET_SECONDS, DEFAULT_SEED, run_all
 from .serialize import InstanceFile, make_instance
 
 
@@ -321,7 +321,8 @@ def cmd_selftest_all(args) -> int:
     _write(args, table)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.check_id} ({r.seconds:.1f}s) {r.detail}",
+        print(f"{status} {r.check_id} ({r.seconds:.1f}s of "
+              f"{BUDGET_SECONDS[r.check_id]}s) {r.detail}",
               file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 

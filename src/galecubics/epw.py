@@ -5,9 +5,9 @@ scale) cuts out a hyperplane; the degeneracy condition is that an
 admissible subspace meets the third wedge power of that hyperplane.  The
 rank formulation used throughout: contraction with the covector kills
 exactly that wedge power, so membership is a kernel computation on a
-15 x 10 matrix.  Along a pencil of covectors the same data packs into a
-10 x 15 pairing matrix with entries linear in the pencil parameter, whose
-size-10 minors share a degree-6 divisor cutting out the degeneracy points.
+15 x 10 matrix.  That matrix is linear in the covector, so along a pencil
+its values at the two base points give it everywhere; its size-10 minors
+share a degree-6 divisor cutting out the degeneracy points.
 
 On the cubic side, a point ``(e, f)`` with nonzero ``e`` spans a plane
 ``Mf + e L_i = 0`` containing the line ``Mf = L_i = 0``; the conic residual
@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .exterior import (GRADE2_PAIRS, GRADE4_QUADS, ExteriorElement,
-                       from_frame_coordinates, orientation_pair)
+from .exterior import (GRADE2_PAIRS, GRADE3_TRIPLES, GRADE4_QUADS,
+                       ExteriorElement, frame_coordinates,
+                       from_frame_coordinates, lex3_coordinates)
 from .fields import Element, Field, PrimeField
-from .gale import NonSyzygeticEquation
+from .gale import NonSyzygeticEquation, multiplier_columns
 from .lagrangian import RhoLagrangianData
-from .linalg import Matrix
-from .poly import MultiPoly, scalar_multiple, univariate_from_coeffs
+from .linalg import Matrix, sparse_echelon
+from .poly import (MultiPoly, PolyRing, _trim, monomials_of_degree,
+                   scalar_multiple, univariate_divmod, univariate_from_coeffs,
+                   univariate_mul, univariate_sub)
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,9 @@ def epw_contains(data: RhoLagrangianData, p: EPWPoint) -> Tuple[bool, int]:
     return nullity >= 1, nullity
 
 
-def pairing_matrix(data: RhoLagrangianData, covector: Sequence[Element]) -> Matrix:
-    """10 x 15 matrix pairing the subspace basis against the contractions of
-    the grade-4 basis; rank drop is equivalent to membership."""
-    field = data.field
-    basis_elems = [from_frame_coordinates(field, data.matrix.column(j))
-                   for j in range(10)]
-    rows = []
-    contracted = [ExteriorElement(field, 4, {t: field.one()}).contract(list(covector))
-                  for t in GRADE4_QUADS]
-    for a in basis_elems:
-        rows.append([orientation_pair(a, c) for c in contracted])
-    return Matrix(field, rows)
-
-
 def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
                     var: str = "t") -> MultiPoly:
-    """The determinant divisor of the pairing matrix along the pencil
+    """The determinant divisor of the contraction matrix along the pencil
     p0 + t*p1: the monic gcd of its 10x10 minors, degree 6 for generic
     inputs (lower when p1 itself is a membership point, the missing roots
     sitting at t = infinity), and the zero polynomial when the whole pencil
@@ -168,21 +156,25 @@ def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
                                   _determinant_divisor_on_pencil(data, p0, p1))
 
 
+def _contraction_pencil(data: RhoLagrangianData, p0: EPWPoint,
+                        p1: EPWPoint) -> Tuple[Matrix, Matrix]:
+    """(C0, C1) with C0 + t*C1 the contraction matrix at p0 + t*p1: the
+    contraction is linear in the covector, so its values at the two points
+    are the two coefficients."""
+    return contraction_matrix(data, p0.coords), contraction_matrix(data, p1.coords)
+
+
 def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
                                    p1: EPWPoint) -> List[Element]:
-    """Monic gcd of all maximal minors of the pairing matrix along the
-    pencil, computed by unimodular elimination over the univariate
-    polynomial ring: diagonalise with division-with-remainder pivots; the
-    product of the pivots is the divisor."""
-    from .poly import univariate_divmod, univariate_mul, univariate_sub
+    """Monic gcd of all maximal minors of the (transposed, 10 x 15)
+    contraction matrix along the pencil, computed by unimodular elimination
+    over the univariate polynomial ring: diagonalise with
+    division-with-remainder pivots; the product of the pivots is the
+    divisor."""
     field = data.field
-    m0 = pairing_matrix(data, p0.coords)
-    msum = pairing_matrix(data, [field.add(a, b)
-                                 for a, b in zip(p0.coords, p1.coords)])
-    entries = [[_trim_coeffs(field,
-                             [m0.data[i][j],
-                              field.sub(msum.data[i][j], m0.data[i][j])])
-                for j in range(15)] for i in range(10)]
+    c0, c1 = _contraction_pencil(data, p0, p1)
+    entries = [[_trim(field, [a, b]) for a, b in zip(col0, col1)]
+               for col0, col1 in zip(c0.transpose().data, c1.transpose().data)]
     rows, cols = 10, 15
     divisor = [field.one()]
     for step in range(rows):
@@ -230,34 +222,21 @@ def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
     return [field.mul(inv, c) for c in divisor]
 
 
-def _trim_coeffs(field: Field, coeffs: List[Element]) -> List[Element]:
-    out = list(coeffs)
-    while out and field.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
 def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
                        ) -> List[Tuple[Optional[Element], EPWPoint]]:
     """Scan of the pencil over a prime field (t in GF(p) and t = infinity);
-    returns the parameter and the membership point for each hit.  The
-    contraction matrix is linear in the covector, so two evaluations give
-    the whole pencil."""
+    returns the parameter and the membership point for each hit."""
     field = data.field
     if not isinstance(field, PrimeField):
         raise ValueError("scanning requires a prime field")
-    c0 = contraction_matrix(data, p0.coords)
-    csum = contraction_matrix(data, [field.add(a, b)
-                                     for a, b in zip(p0.coords, p1.coords)])
-    cdiff = csum - c0
+    c0, c1 = _contraction_pencil(data, p0, p1)
     out = []
     for t in field.elements():
         cov = [field.add(a, field.mul(t, b)) for a, b in zip(p0.coords, p1.coords)]
         if all(field.is_zero(c) for c in cov):
             continue
-        mat = Matrix(field, [
-            [field.add(c0.data[i][j], field.mul(t, cdiff.data[i][j]))
-             for j in range(10)] for i in range(15)])
+        mat = Matrix(field, [[field.add(a, field.mul(t, b)) for a, b in zip(r0, r1)]
+                             for r0, r1 in zip(c0.data, c1.data)])
         if mat.rank() < 10:
             out.append((t, EPWPoint.make(field, cov)))
     if epw_contains(data, p1)[0]:
@@ -274,7 +253,6 @@ def rho_plane_condition(data: RhoLagrangianData, v3: Matrix) -> Tuple[bool, int]
     field = data.field
     vecs = [ExteriorElement.vector(field, v3.column(j)) for j in range(3)]
     spanning = []
-    from .exterior import frame_coordinates
     for a in range(3):
         for b in range(a + 1, 3):
             omega = vecs[a].wedge(vecs[b])
@@ -328,20 +306,19 @@ class PiGamma:
         return self.pi_is_plane and self.gamma_is_line
 
 
-def fano_tuple(eq: NonSyzygeticEquation) -> NonSyzygeticEquation:
-    """Presentation used by the plane/line/conic constructions.
+def fano_tuple(eq: NonSyzygeticEquation, i: int) -> NonSyzygeticEquation:
+    """Presentation used by the plane/line/conic constructions for L_i.
 
-    For a plus tuple, the plus normalisation itself.  A minus tuple sits on
-    the other block of its Lagrangian pair, where the matrix entries fill
-    the transposed slots, so its geometry uses the transposed matrix (the
-    cubic is unchanged) and the membership covector swaps its two triples
-    (see :func:`conic_covector`)."""
-    plus = eq.plus_normalized()
+    For a plus tuple, the tuple itself.  A minus tuple sits on the other
+    block of its Lagrangian pair, where the matrix entries fill the
+    transposed slots, so its geometry uses the transposed matrix (the cubic
+    is unchanged) with the minus sign folded into L_i, and the membership
+    covector swaps its two triples (see :func:`conic_covector`)."""
     if eq.sign == 1:
-        return plus
-    rows = plus.coeffs.data
+        return eq
+    rows = eq.plus_normalized(i).coeffs.data
     return NonSyzygeticEquation(
-        eq.field, plus.variables,
+        eq.field, eq.variables,
         Matrix(eq.field, [rows[3 * (k % 3) + k // 3] for k in range(9)]
                + rows[9:]), 1)
 
@@ -353,7 +330,7 @@ def pi_gamma(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> PiGamma:
     field = eq.field
     if all(field.is_zero(c) for c in p.e_part):
         raise ValueError("e = 0: the plane of the construction degenerates")
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, i)
     l_i = plus.coeffs.data[8 + i]
     gamma_rows = plus.m_product(p.f_part).data
     pi_rows = [[field.add(a, field.mul(e, b)) for a, b in zip(row, l_i)]
@@ -409,7 +386,7 @@ def residual_conic(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> ResidualCon
     if not pg.generic():
         raise ValueError("degenerate configuration: plane or line has wrong "
                          "dimension")
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, i)
     n = pg.pi.parametrization()          # 6 x 3
     restricted = plus.cubic_polynomial().linear_substitution(n, PLANE_VARIABLES)
     ell = plus.l_forms[i - 1].linear_substitution(n, PLANE_VARIABLES)
@@ -548,7 +525,7 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
     the associated coordinate line gives the plane, and the plane determines
     e uniquely.  Each precondition failure is reported by name."""
     field = eq.field
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, i)
     if line.projective_dim() != 1:
         raise LineCorrespondenceError("input subspace is not a line")
     pts = line.parametrization()
@@ -639,9 +616,6 @@ def decomposability_quadrics(data: RhoLagrangianData) -> List[MultiPoly]:
     """Quadratic equations, in coordinates on the subspace, of its
     intersection with the cone of decomposable grade-3 vectors: the
     coefficients of (contraction of x by a grade-2 covector) wedge x."""
-    from .exterior import (GRADE3_TRIPLES, GRADE4_QUADS, ExteriorElement,
-                           from_frame_coordinates, lex3_coordinates)
-    from .poly import PolyRing
     field = data.field
     ring = PolyRing(field, AVARS)
     cols_lex = [lex3_coordinates(from_frame_coordinates(field,
@@ -683,7 +657,6 @@ def decomposability_quadrics(data: RhoLagrangianData) -> List[MultiPoly]:
 
 def random_decomposable(field: Field, rng: random.Random):
     """Frame coordinates of a random product of three vectors."""
-    from .exterior import ExteriorElement, frame_coordinates
     while True:
         vs = [ExteriorElement.vector(field, [field.random(rng)
                                              for _ in range(6)])
@@ -727,24 +700,11 @@ def decomposable_vector_check(data: RhoLagrangianData,
         # rank computations.  Observed saturation degree is five, so the
         # default is exhaustive but costly (minutes); lower max_degree gives
         # a cheaper inconclusive run
-        from .poly import monomials_of_degree
         codim = None
         for degree in range(3, max_degree + 1):
             target = monomials_of_degree(10, degree)
-            columns = []
-            for q in quadrics:
-                for mono in monomials_of_degree(10, degree - 2):
-                    col = {}
-                    for qm, qc in q.terms.items():
-                        key = tuple(a + b for a, b in zip(qm, mono))
-                        acc = field.add(col.get(key, field.zero()), qc)
-                        if field.is_zero(acc):
-                            col.pop(key, None)
-                        else:
-                            col[key] = acc
-                    if col:
-                        columns.append(col)
-            rank = _sparse_column_rank(field, columns, len(target))
+            columns, _ = multiplier_columns(10, [(q, degree - 2) for q in quadrics])
+            rank = len(sparse_echelon(field, columns, len(target)))
             codim = len(target) - rank
             if codim == 0:
                 return DecomposableVectorReport(
@@ -755,48 +715,6 @@ def decomposable_vector_check(data: RhoLagrangianData,
             method, False, False,
             f"inconclusive: degree-{max_degree} piece has codimension {codim}")
     raise ValueError("method must be 'sampling' or 'elimination'")
-
-
-def _sparse_column_rank(field: Field, columns, cap: int) -> int:
-    """Rank of a set of sparse columns (dict keyed by row label), stopping
-    early once the cap is reached.  Each column is eliminated from its
-    smallest label up; the live labels wait in a heap, and a label popped
-    after it cancelled is skipped."""
-    pivots = {}
-    rank = 0
-    for col in columns:
-        work = dict(col)
-        heap = list(work)
-        heapify(heap)
-        while heap:
-            label = heappop(heap)
-            if label not in work:
-                continue
-            if label in pivots:
-                factor = work.pop(label)
-                # a pivot row holds only labels above its own
-                for plabel, pval in pivots[label].items():
-                    if plabel == label:
-                        continue
-                    if plabel in work:
-                        acc = field.sub(work[plabel], field.mul(factor, pval))
-                        if field.is_zero(acc):
-                            del work[plabel]
-                        else:
-                            work[plabel] = acc
-                    else:
-                        acc = field.sub(field.zero(), field.mul(factor, pval))
-                        if not field.is_zero(acc):
-                            work[plabel] = acc
-                            heappush(heap, plabel)
-            else:
-                inv = field.inv(work[label])
-                pivots[label] = {k: field.mul(inv, v) for k, v in work.items()}
-                rank += 1
-                break
-        if rank == cap:
-            break
-    return rank
 
 
 # -- harvesting ---------------------------------------------------------------

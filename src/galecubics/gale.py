@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .fields import Element, Field
-from .linalg import Matrix, det_cofactor
+from .linalg import Matrix, det_cofactor, sparse_echelon
 from .poly import MultiPoly, PolyRing, monomials_of_degree
 
 DEFAULT_VARIABLES = ("X0", "X1", "X2", "X3", "X4", "X5")
@@ -30,11 +30,11 @@ def dual_variable_names(variables: Sequence[str]) -> Tuple[str, ...]:
     return tuple(v + "'" for v in variables)
 
 
-def _negate_l1(coeffs: Matrix) -> Matrix:
-    """The coefficient rows with row 9 (the form L1) negated."""
+def _negate_l(coeffs: Matrix, i: int = 1) -> Matrix:
+    """The coefficient rows with row 8 + i (the form L_i) negated."""
     k = coeffs.field
     rows = list(coeffs.data)
-    rows[9] = [k.neg(x) for x in rows[9]]
+    rows[8 + i] = [k.neg(x) for x in rows[8 + i]]
     return Matrix(k, rows)
 
 
@@ -113,12 +113,12 @@ class NonSyzygeticEquation:
         prod = self.l_forms[0] * self.l_forms[1] * self.l_forms[2]
         return det + prod if self.sign == 1 else det - prod
 
-    def plus_normalized(self) -> "NonSyzygeticEquation":
-        """Equivalent tuple with sign +1 (folds a minus sign into L1)."""
+    def plus_normalized(self, i: int = 1) -> "NonSyzygeticEquation":
+        """Equivalent tuple with sign +1 (folds a minus sign into L_i)."""
         if self.sign == 1:
             return self
         return NonSyzygeticEquation(self.field, self.variables,
-                                    _negate_l1(self.coeffs), 1)
+                                    _negate_l(self.coeffs, i), 1)
 
     def permute_l_forms(self, perm: Sequence[int]) -> "NonSyzygeticEquation":
         rows = self.coeffs.data
@@ -165,7 +165,7 @@ def gale_dual(eq: NonSyzygeticEquation) -> NonSyzygeticEquation:
         raise DegenerateTupleError("degenerate tuple: kernel dimension exceeds 6")
     kernel = c.kernel_basis()            # 12x6, canonical
     if eq.sign == -1:
-        kernel = _negate_l1(kernel)
+        kernel = _negate_l(kernel)
     return NonSyzygeticEquation(eq.field, dual_variable_names(eq.variables),
                                 kernel, -eq.sign)
 
@@ -181,6 +181,23 @@ def composition_is_zero(eq: NonSyzygeticEquation,
 
 # -- multiplier systems -------------------------------------------------------
 
+def multiplier_columns(nvars: int, factors: Sequence[Tuple[MultiPoly, int]],
+                       ) -> Tuple[List[Dict[tuple, Element]], List[Tuple[int, tuple]]]:
+    """Sparse columns, keyed by exponent vector, of the map taking
+    homogeneous ``h_k`` of the prescribed degrees to ``sum_k factor_k *
+    h_k``: one column ``factor_k * mono`` per unknown coefficient, ordered
+    factor-major, monomial-minor, with the layout ``(k, mono)`` of each.
+    Shifting by one monomial is injective, so no two terms meet."""
+    columns: List[Dict[tuple, Element]] = []
+    layout: List[Tuple[int, tuple]] = []
+    for k_idx, (f, deg) in enumerate(factors):
+        for mono in monomials_of_degree(nvars, deg):
+            columns.append({tuple(a + b for a, b in zip(fm, mono)): fc
+                            for fm, fc in f.terms.items()})
+            layout.append((k_idx, mono))
+    return columns, layout
+
+
 def solve_multiplier_system(field: Field, variables: Sequence[str],
                             target: MultiPoly,
                             factors: Sequence[Tuple[MultiPoly, int]],
@@ -191,21 +208,7 @@ def solve_multiplier_system(field: Field, variables: Sequence[str],
     Columns are ordered factor-major, monomial-minor, so solutions are
     reproducible.  Returns the multipliers, or None when unsolvable.
     """
-    nvars = len(variables)
-    columns: List[Dict[tuple, Element]] = []
-    layout: List[Tuple[int, tuple]] = []
-    for k_idx, (f, deg) in enumerate(factors):
-        for mono in monomials_of_degree(nvars, deg):
-            shifted: Dict[tuple, Element] = {}
-            for fm, fc in f.terms.items():
-                key = tuple(a + b for a, b in zip(fm, mono))
-                acc = field.add(shifted.get(key, field.zero()), fc)
-                if field.is_zero(acc):
-                    shifted.pop(key, None)
-                else:
-                    shifted[key] = acc
-            columns.append(shifted)
-            layout.append((k_idx, mono))
+    columns, layout = multiplier_columns(len(variables), factors)
     sol = solve_sparse_combination(field, columns, dict(target.terms))
     if sol is None:
         return None
@@ -227,34 +230,33 @@ def solve_sparse_combination(field: Field, columns: Sequence[Dict[tuple, Element
                              target: Dict[tuple, Element],
                              ) -> Optional[List[Element]]:
     """Exact solution of sum_j z_j * col_j = target over sparse columns keyed
-    by arbitrary hashable row labels; incremental row elimination."""
-    rows = sorted({m for col in columns for m in col} | set(target))
+    by arbitrary hashable row labels, with the free unknowns set to zero;
+    None when the system is inconsistent.
+
+    Each row label is one equation, a sparse row keyed by unknown index
+    with the target at key ``n``; ``sparse_echelon`` pivots exactly the
+    unknowns whose column is independent of the earlier ones, and a pivot
+    at ``n`` is the equation 0 = c.  Back-substitution then gives the one
+    solution supported on the pivot columns, which no elimination order
+    changes."""
     n = len(columns)
-    pivots: Dict[int, List[Element]] = {}  # pivot column -> reduced equation row
-    zero, one = field.zero(), field.one()
-    for label in rows:
-        row = [col.get(label, zero) for col in columns]
-        row.append(target.get(label, zero))
-        for p in sorted(pivots):
-            if not field.is_zero(row[p]):
-                f = row[p]
-                prow = pivots[p]
-                row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
-        lead = next((j for j in range(n) if not field.is_zero(row[j])), None)
-        if lead is None:
-            if not field.is_zero(row[n]):
-                return None  # inconsistent equation 0 = c
-            continue
-        inv = field.inv(row[lead])
-        pivots[lead] = [field.mul(inv, x) for x in row]
-    # back substitution with free unknowns set to zero
-    sol = [zero] * n
+    equations: Dict[Hashable, Dict[int, Element]] = {}
+    for j, col in enumerate(columns):
+        for label, c in col.items():
+            equations.setdefault(label, {})[j] = c
+    for label, c in target.items():
+        equations.setdefault(label, {})[n] = c
+    pivots = sparse_echelon(field, equations.values())
+    if n in pivots:
+        return None
+    sol = [field.zero()] * n
     for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        val = row[n]
-        for j in range(p + 1, n):
-            if not field.is_zero(row[j]) and not field.is_zero(sol[j]):
-                val = field.sub(val, field.mul(row[j], sol[j]))
+        val = field.zero()
+        for j, c in pivots[p].items():
+            if j == n:
+                val = field.add(val, c)
+            elif j != p:
+                val = field.sub(val, field.mul(c, sol[j]))
         sol[p] = val
     return sol
 

@@ -48,12 +48,6 @@ class RhoLagrangianData:
     a_e: Matrix
     a_f: Matrix
 
-    def top(self) -> Matrix:
-        return self.matrix.submatrix(range(10), range(self.matrix.cols))
-
-    def bottom(self) -> Matrix:
-        return self.matrix.submatrix(range(10, 20), range(self.matrix.cols))
-
     def same_subspace(self, other: "RhoLagrangianData") -> bool:
         return same_column_span(self.matrix, other.matrix)
 

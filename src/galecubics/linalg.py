@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
 Everything is small here (the largest routine systems are a few hundred
 rows), so the implementation favours exactness and determinism over
@@ -21,9 +21,14 @@ on it is unchanged.  Every other field uses the generic path.
 
 ``rank`` needs only the pivot count, so outside the rationals it runs
 forward elimination alone (eliminate below each pivot; no normalising, no
-back-substitution), and above 4x4 ``det`` over a field of positive
-characteristic takes the signed product of the same pivots.  Rank and
-determinant are unique, so neither depends on the route.
+back-substitution), and above 4x4 ``det`` takes the signed product of the
+same pivots in every field.  Rank and determinant are unique, so neither
+depends on the route.
+
+Large sparse systems (Macaulay matrices, multiplier systems) go through
+one routine, ``sparse_echelon``: vectors are dicts keyed by ordered
+labels, each reduced from its smallest label up against the pivots found
+so far.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from .fields import Element, Field, RationalField
 
@@ -355,42 +361,18 @@ class Matrix:
 
     def det(self) -> Element:
         """Determinant: cofactor expansion up to 4x4; above that, the signed
-        product of the forward-elimination pivots in positive
-        characteristic (one inversion per pivot) and fraction-free Bareiss
-        elimination otherwise (controls intermediate growth exactly)."""
+        product of the forward-elimination pivots (one inversion per
+        pivot), exact in every field here."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         if self.rows <= 4:
             return det_cofactor(self.field, self.data)
-        if self.field.characteristic > 0:
-            k = self.field
-            odd, pivots = self._echelon_pivots()
-            if len(pivots) < self.rows:
-                return k.zero()    # a column without a pivot
-            det = reduce(k.mul, pivots, k.one())
-            return k.neg(det) if odd else det
-        return self._det_bareiss()
-
-    def _det_bareiss(self) -> Element:
         k = self.field
-        n = self.rows
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = k.one()
-        for c in range(n - 1):
-            if k.is_zero(m[c][c]):
-                swap = next((i for i in range(c + 1, n) if not k.is_zero(m[i][c])), None)
-                if swap is None:
-                    return k.zero()
-                m[c], m[swap] = m[swap], m[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                for j in range(c + 1, n):
-                    num = k.sub(k.mul(m[i][j], m[c][c]), k.mul(m[i][c], m[c][j]))
-                    m[i][j] = k.div(num, prev)
-            prev = m[c][c]
-        d = m[n - 1][n - 1]
-        return k.neg(d) if sign < 0 else d
+        odd, pivots = self._echelon_pivots()
+        if len(pivots) < self.rows:
+            return k.zero()    # a column without a pivot
+        det = reduce(k.mul, pivots, k.one())
+        return k.neg(det) if odd else det
 
 
 def _integer_row(row: Sequence[Fraction]) -> tuple[List[int], int]:
@@ -446,18 +428,47 @@ def same_column_span(a: Matrix, b: Matrix) -> bool:
     return a.transpose().row_space() == b.transpose().row_space()
 
 
-def intersect_column_spans(a: Matrix, b: Matrix) -> Matrix:
-    """Basis (columns) of the intersection of two column spans."""
-    # x in both spans: a*u = b*v, i.e. [a | -b] (u,v)^t = 0.
-    k = a.field
-    combined = a.hstack(-b)
-    ker = combined.kernel_basis()
-    cols = []
-    for j in range(ker.cols):
-        u = [ker.data[i][j] for i in range(a.cols)]
-        cols.append(a.apply_to_vector(u))
-    if not cols:
-        return Matrix(k, [[] for _ in range(a.rows)])
-    got = Matrix.from_columns(k, cols)
-    # prune to an independent set, canonically
-    return got.transpose().row_space().transpose()
+def sparse_echelon(field: Field, vectors: Iterable[Dict[Hashable, Element]],
+                   cap: Optional[int] = None) -> Dict[Hashable, Dict[Hashable, Element]]:
+    """Echelon basis of the span of sparse vectors (dicts from ordered
+    labels to entries), as ``{pivot label: vector}``.
+
+    Each vector is eliminated from its smallest label up by the pivots
+    found so far; the live labels wait in a heap, and a label popped after
+    it cancelled is skipped.  A vector that survives becomes a pivot, keyed
+    by its smallest label and scaled to one there, so a pivot holds only
+    labels at or above its own.  The pivot labels are those of the reduced
+    echelon form of the span, whatever the order of the vectors.  Stops
+    once ``cap`` pivots are found."""
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    pivots: Dict[Hashable, Dict[Hashable, Element]] = {}
+    for vec in vectors:
+        if len(pivots) == cap:
+            break
+        work = {k: v for k, v in vec.items() if not is_zero(v)}
+        heap = list(work)
+        heapify(heap)
+        while heap:
+            label = heappop(heap)
+            if label not in work:
+                continue
+            if label not in pivots:
+                inv = field.inv(work[label])
+                pivots[label] = {k: mul(inv, v) for k, v in work.items()}
+                break
+            factor = work.pop(label)
+            for plabel, pval in pivots[label].items():
+                if plabel == label:
+                    continue
+                if plabel in work:
+                    acc = sub(work[plabel], mul(factor, pval))
+                    if is_zero(acc):
+                        del work[plabel]
+                    else:
+                        work[plabel] = acc
+                else:
+                    acc = field.neg(mul(factor, pval))
+                    if not is_zero(acc):
+                        work[plabel] = acc
+                        heappush(heap, plabel)
+    return pivots

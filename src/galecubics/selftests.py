@@ -1,9 +1,9 @@
 """The acceptance battery: every headline identity and count, exercised at
 full sample sizes with fixed seeds, each reported as one named check.
 
-The same functions back the command-line ``selftest all`` and the pytest
-acceptance module, so the shipped binary and the test suite agree by
-construction.
+The same functions and the same budget table (``BUDGET_SECONDS``) back the
+command-line ``selftest all`` and the pytest acceptance module, so the
+shipped binary and the test suite agree by construction.
 """
 
 from __future__ import annotations
@@ -416,6 +416,25 @@ CHECKS: Dict[str, Callable[..., Tuple[bool, str]]] = {
     "a4-family-end-to-end": check_a4_family,
     "groebner-soundness": check_groebner_soundness,
     "invariant-generators": check_generator_invariance,
+}
+
+
+# wall-clock budget of each check in seconds, read by ``selftest all`` and
+# by the pytest acceptance module
+BUDGET_SECONDS = {
+    "gale-composition-zero": 10,
+    "lagrangian-sigma-normal-form": 10,
+    "frame-dual-basis-and-sigma-identity": 1,
+    "cone-projection-roundtrip": 30,
+    "overlattice-count-and-orbits": 5,
+    "epw-coordinate-planes": 10,
+    "epw-line-degree": 30,
+    "singular-conic-on-epw": 60,
+    "fano-line-roundtrip": 60,
+    "gm-ideal-membership": 120,
+    "a4-family-end-to-end": 600,
+    "groebner-soundness": 60,
+    "invariant-generators": 120,
 }
 
 

@@ -4,13 +4,15 @@ from itertools import combinations
 import pytest
 
 from galecubics.epw import (EPWPoint, LineCorrespondenceError,
-                            ProjectiveSubspace, conic_covector, epw_contains,
-                            epw_line_degree, epw_points_on_line, epw_to_lines,
-                            fano_tuple, harvest_epw_points, line_to_epw,
-                            pairing_matrix, pi_gamma, residual_conic,
-                            rho_plane_condition,
+                            ProjectiveSubspace, conic_covector,
+                            contraction_matrix, epw_contains, epw_line_degree,
+                            epw_points_on_line, epw_to_lines, fano_tuple,
+                            harvest_epw_points, line_to_epw, pi_gamma,
+                            residual_conic, rho_plane_condition,
                             sigma_plane_point, sigma_planes_disjoint,
                             sigma_prime_plane_point)
+from galecubics.exterior import (GRADE4_QUADS, ExteriorElement,
+                                 from_frame_coordinates, orientation_pair)
 from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation
 from galecubics.lagrangian import lagrangian_from_gale
@@ -144,6 +146,40 @@ def _minor_schedule(pivot_set):
     return list(seen)
 
 
+def pairing_matrix(data, covector):
+    """10 x 15 matrix pairing the subspace basis against the contractions of
+    the grade-4 basis; rank drop is equivalent to membership.  Test-only:
+    the oracle's own matrix, built independently of the contraction."""
+    field = data.field
+    basis_elems = [from_frame_coordinates(field, data.matrix.column(j))
+                   for j in range(10)]
+    contracted = [ExteriorElement(field, 4, {t: field.one()}).contract(list(covector))
+                  for t in GRADE4_QUADS]
+    return Matrix(field, [[orientation_pair(a, c) for c in contracted]
+                          for a in basis_elems])
+
+
+# pairing_matrix(data, c) column j is PAIRING_SIGNS[j] times column 14 - j
+# of contraction_matrix(data, c).transpose(), for every subspace and covector
+PAIRING_SIGNS = (-1, 1, -1, -1, 1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1)
+
+
+@pytest.mark.parametrize("field", [FIELD, QQ], ids=lambda f: f.descriptor)
+def test_pairing_is_the_signed_reversed_contraction(field):
+    rng = random.Random(24)
+    for i in (1, 2, 3):
+        data, _ = lagrangian_from_gale(NonSyzygeticEquation.random(field, rng), i)
+        for _ in range(4):
+            c = [field.random(rng) for _ in range(6)]
+            pairing = pairing_matrix(data, c)
+            contraction = contraction_matrix(data, c).transpose()
+            for j, sign in enumerate(PAIRING_SIGNS):
+                expected = contraction.column(14 - j)
+                if sign < 0:
+                    expected = [field.neg(x) for x in expected]
+                assert pairing.column(j) == expected
+
+
 def minor_gcd_oracle(data, p0, p1, degree):
     """Running monic gcd of the 10x10 minors of the pairing matrix along
     p0 + t*p1, each interpolated from its values at t = 0..10, taken until
@@ -222,7 +258,7 @@ def test_pi_gamma_structure():
     assert pg.gamma.forms.vstack(pg.pi.forms).rank() == pg.gamma.forms.rows
     assert pg.pi.contains(pg.gamma)
     # the line lies on the cubic
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, 1)
     cubic = plus.cubic_polynomial()
     pts = pg.gamma.parametrization()
     for j in range(pts.cols):
@@ -267,7 +303,7 @@ def test_conic_quadric_matches_division():
     p = EPWPoint.make(FIELD, [FIELD.random(rng) for _ in range(6)])
     conic = residual_conic(eq, 1, p)
     # line_form * quadric = restricted cubic, re-checked at sample points
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, 1)
     cubic = plus.cubic_polynomial()
     for _ in range(8):
         s = [FIELD.random(rng) for _ in range(3)]
@@ -295,9 +331,28 @@ def test_fano_roundtrip(sign):
     assert splits >= 3
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_every_l_choice_on_both_signs(i, sign):
+    # a minus tuple folds its sign into L_i itself, so the conic at a
+    # membership point is singular and the line round trip is exact for
+    # every choice of L, not only L1
+    eq, data, rng = make_instance(30 + i, sign=sign, i=i)
+    points = harvest_epw_points(eq, i, data, rng, 4)
+    assert len(points) == 4
+    roundtrips = 0
+    for hp in points:
+        assert FIELD.is_zero(residual_conic(eq, i, hp.point).det())
+        split = epw_to_lines(eq, i, hp.point)
+        for line in split.lines or ():
+            assert line_to_epw(eq, i, line).same_point(hp.point)
+            roundtrips += 1
+    assert roundtrips >= 2
+
+
 def test_line_to_epw_error_reporting():
     eq, data, rng = make_instance(14)
-    plus = fano_tuple(eq)
+    plus = fano_tuple(eq, 1)
     names = eq.variables
     # a random line not on the cubic
     while True:
@@ -380,7 +435,7 @@ def test_decomposable_elimination_truncated_is_inconclusive():
 
 
 def test_sparse_column_rank_matches_dense_rank():
-    from galecubics.epw import _sparse_column_rank
+    from galecubics.linalg import sparse_echelon
     from galecubics.poly import monomials_of_degree
     rng = random.Random(22)
     labels = monomials_of_degree(4, 3)
@@ -399,9 +454,9 @@ def test_sparse_column_rank_matches_dense_rank():
                 columns.append({k: v for k, v in col.items() if not field.is_zero(v)})
             dense = Matrix.from_columns(field, [[col.get(k, field.zero()) for k in labels]
                                                 for col in columns])
-            assert _sparse_column_rank(field, columns, len(labels)) == dense.rank()
+            assert len(sparse_echelon(field, columns)) == dense.rank()
             cap = rng.randint(1, 5)
-            assert _sparse_column_rank(field, columns, cap) == min(cap, dense.rank())
+            assert len(sparse_echelon(field, columns, cap)) == min(cap, dense.rank())
 
 
 # Reduced degrevlex basis of the 45 decomposability quadrics of

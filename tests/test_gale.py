@@ -253,3 +253,84 @@ def test_m_product_matches_form_contraction(field):
         assert eq.m_product(v).data == [f.linear_coefficients() for f in right]
         assert eq.m_product(v, left=True).data == [
             f.linear_coefficients() for f in left]
+
+
+# -- the sparse solve against the dense row loop it replaced ---------------
+
+def dense_solve_oracle(field, columns, target):
+    """Exact solution of sum_j z_j * col_j = target over sparse columns keyed
+    by arbitrary hashable row labels; incremental row elimination.  Verbatim
+    the dense loop ``solve_sparse_combination`` ran before it shared
+    ``sparse_echelon``."""
+    rows = sorted({m for col in columns for m in col} | set(target))
+    n = len(columns)
+    pivots = {}  # pivot column -> reduced equation row
+    zero, one = field.zero(), field.one()
+    for label in rows:
+        row = [col.get(label, zero) for col in columns]
+        row.append(target.get(label, zero))
+        for p in sorted(pivots):
+            if not field.is_zero(row[p]):
+                f = row[p]
+                prow = pivots[p]
+                row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
+        lead = next((j for j in range(n) if not field.is_zero(row[j])), None)
+        if lead is None:
+            if not field.is_zero(row[n]):
+                return None  # inconsistent equation 0 = c
+            continue
+        inv = field.inv(row[lead])
+        pivots[lead] = [field.mul(inv, x) for x in row]
+    # back substitution with free unknowns set to zero
+    sol = [zero] * n
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        val = row[n]
+        for j in range(p + 1, n):
+            if not field.is_zero(row[j]) and not field.is_zero(sol[j]):
+                val = field.sub(val, field.mul(row[j], sol[j]))
+        sol[p] = val
+    return sol
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=lambda f: f.descriptor)
+def test_sparse_solve_matches_dense_oracle(field):
+    from galecubics.gale import solve_sparse_combination
+    from galecubics.poly import monomials_of_degree
+    rng = random.Random(41)
+    labels = monomials_of_degree(4, 2)
+    outcomes = {"solved": 0, "none": 0}
+    for trial in range(60):
+        columns = []
+        for _ in range(rng.randint(0, 14)):
+            if columns and rng.random() < 0.3:     # a dependent column
+                a, b = rng.choice(columns), rng.choice(columns)
+                col = {k: field.add(a.get(k, field.zero()), b.get(k, field.zero()))
+                       for k in set(a) | set(b)}
+            else:
+                col = {k: field.random(rng)
+                       for k in rng.sample(labels, rng.randint(0, 4))}
+            columns.append({k: v for k, v in col.items() if not field.is_zero(v)})
+        if trial % 2:
+            # consistent: a combination of the columns
+            target = {}
+            for col in columns:
+                c = field.random(rng)
+                for k, v in col.items():
+                    target[k] = field.add(target.get(k, field.zero()),
+                                          field.mul(c, v))
+        else:
+            target = {k: field.random(rng) for k in rng.sample(labels, 3)}
+        target = {k: v for k, v in target.items() if not field.is_zero(v)}
+        expected = dense_solve_oracle(field, columns, target)
+        got = solve_sparse_combination(field, columns, target)
+        assert got == expected
+        outcomes["none" if got is None else "solved"] += 1
+        if got is not None:
+            combo = {}
+            for z, col in zip(got, columns):
+                for k, v in col.items():
+                    combo[k] = field.add(combo.get(k, field.zero()), field.mul(z, v))
+            assert {k: v for k, v in combo.items() if not field.is_zero(v)} == target
+    assert outcomes["none"] >= 10 and outcomes["solved"] >= 30
