@@ -4,10 +4,12 @@ A covector on the six-space (a pair ``(e, f)`` of coordinate triples, up to
 scale) cuts out a hyperplane; the degeneracy condition is that an
 admissible subspace meets the third wedge power of that hyperplane.  The
 rank formulation used throughout: contraction with the covector kills
-exactly that wedge power, so membership is a kernel computation on a
-15 x 10 matrix.  That matrix is linear in the covector, so along a pencil
-its values at the two base points give it everywhere; its size-10 minors
-share a degree-6 divisor cutting out the degeneracy points.
+exactly that wedge power, so membership at one point is a kernel
+computation on a 15 x 10 matrix.  That matrix is linear in the covector,
+so along a pencil its values at the two base points give it everywhere,
+and the monic gcd of its size-10 minors (the determinant divisor, of
+degree 6) vanishes exactly at the membership points of the pencil: one
+elimination over k[t] gives both the degree and the points.
 
 On the cubic side, a point ``(e, f)`` with nonzero ``e`` spans a plane
 ``Mf + e L_i = 0`` containing the line ``Mf = L_i = 0``; the conic residual
@@ -145,23 +147,11 @@ def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     lies in the degeneracy locus.
 
     It is computed exactly, by unimodular elimination over k[t], which
-    leaves the gcd of the maximal minors unchanged.  An earlier version
-    took the gcd of a batch of at most 16 minors interpolated from
-    samples, but on random pencils over GF(101) that gcd reached degree 6
-    only after about 56 nonzero minors, so every call ended in this
-    elimination anyway and the batch was dropped."""
+    leaves the gcd of the maximal minors unchanged."""
     if p0.same_point(p1):
         raise ValueError("coincident points do not span a pencil")
     return univariate_from_coeffs(data.field, var,
                                   _determinant_divisor_on_pencil(data, p0, p1))
-
-
-def _contraction_pencil(data: RhoLagrangianData, p0: EPWPoint,
-                        p1: EPWPoint) -> Tuple[Matrix, Matrix]:
-    """(C0, C1) with C0 + t*C1 the contraction matrix at p0 + t*p1: the
-    contraction is linear in the covector, so its values at the two points
-    are the two coefficients."""
-    return contraction_matrix(data, p0.coords), contraction_matrix(data, p1.coords)
 
 
 def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
@@ -170,9 +160,11 @@ def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
     contraction matrix along the pencil, computed by unimodular elimination
     over the univariate polynomial ring: diagonalise with
     division-with-remainder pivots; the product of the pivots is the
-    divisor."""
+    divisor.  The contraction is linear in the covector, so its values at
+    the two points are the coefficients of C(t) = C(p0) + t*C(p1)."""
     field = data.field
-    c0, c1 = _contraction_pencil(data, p0, p1)
+    c0 = contraction_matrix(data, p0.coords)
+    c1 = contraction_matrix(data, p1.coords)
     entries = [[_trim(field, [a, b]) for a, b in zip(col0, col1)]
                for col0, col1 in zip(c0.transpose().data, c1.transpose().data)]
     rows, cols = 10, 15
@@ -224,21 +216,18 @@ def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
 
 def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
                        ) -> List[Tuple[Optional[Element], EPWPoint]]:
-    """Scan of the pencil over a prime field (t in GF(p) and t = infinity);
-    returns the parameter and the membership point for each hit."""
+    """Membership points of the pencil p0 + t*p1 over a prime field, with
+    their parameters: the roots t in GF(p) of :func:`epw_line_degree` in
+    ascending order (every t when it is zero), then ``(None, p1)`` when p1
+    itself is a member.  The rank drops at t0 exactly when every maximal
+    minor vanishes there, that is when t - t0 divides their gcd."""
     field = data.field
     if not isinstance(field, PrimeField):
         raise ValueError("scanning requires a prime field")
-    c0, c1 = _contraction_pencil(data, p0, p1)
-    out = []
-    for t in field.elements():
-        cov = [field.add(a, field.mul(t, b)) for a, b in zip(p0.coords, p1.coords)]
-        if all(field.is_zero(c) for c in cov):
-            continue
-        mat = Matrix(field, [[field.add(a, field.mul(t, b)) for a, b in zip(r0, r1)]
-                             for r0, r1 in zip(c0.data, c1.data)])
-        if mat.rank() < 10:
-            out.append((t, EPWPoint.make(field, cov)))
+    divisor = epw_line_degree(data, p0, p1)
+    out = [(t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
+                                     for a, b in zip(p0.coords, p1.coords)]))
+           for t in field.elements() if field.is_zero(divisor.evaluate([t]))]
     if epw_contains(data, p1)[0]:
         out.append((None, p1))
     return out
@@ -727,12 +716,10 @@ class HarvestedPoint:
 
 def harvest_epw_points(eq: NonSyzygeticEquation, i: int,
                        data: RhoLagrangianData, rng: random.Random,
-                       count: int, require_generic: bool = True,
-                       max_lines: int = 400) -> List[HarvestedPoint]:
+                       count: int, max_lines: int = 400) -> List[HarvestedPoint]:
     """Membership points found by scanning random pencils over a prime
-    field.  With ``require_generic`` only points usable by the conic
-    construction are kept: both coordinate triples nonzero, the plane a
-    plane, the line a line."""
+    field.  Only points usable by the conic construction are kept: both
+    coordinate triples nonzero, the plane a plane, the line a line."""
     field = eq.field
     if not isinstance(field, PrimeField):
         raise ValueError("harvesting scans a prime field")
@@ -752,13 +739,12 @@ def harvest_epw_points(eq: NonSyzygeticEquation, i: int,
             # the block swap is an involution, so the same map converts raw
             # membership covectors to conic-construction labels
             geom_pt = conic_covector(eq, pt)
-            if require_generic:
-                if all(field.is_zero(c) for c in geom_pt.e_part):
-                    continue
-                if all(field.is_zero(c) for c in geom_pt.f_part):
-                    continue
-                if not pi_gamma(eq, i, geom_pt).generic():
-                    continue
+            if all(field.is_zero(c) for c in geom_pt.e_part):
+                continue
+            if all(field.is_zero(c) for c in geom_pt.f_part):
+                continue
+            if not pi_gamma(eq, i, geom_pt).generic():
+                continue
             nullity = epw_contains(data, pt)[1]
             found.append(HarvestedPoint(geom_pt, nullity))
             if len(found) >= count:

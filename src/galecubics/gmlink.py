@@ -14,21 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .exterior import GRADE3_TRIPLES, ExteriorElement
+from .exterior import ExteriorElement
 from .fields import Field
 from .gale import solve_multiplier_system
-from .invariants import LEX3_VARIABLES
+from .invariants import LEX3_VARIABLES, lex3_form
 from .linalg import pfaffian4
 from .poly import MultiPoly, PolyRing
 
 E_SIDE = (0, (1, 2, 3, 4, 5))   # distinguished e1
 F_SIDE = (3, (4, 5, 0, 1, 2))   # distinguished f1, roles of the blocks swapped
-
-
-def _three_form_poly(field: Field, indices: Sequence[int]) -> MultiPoly:
-    elem = ExteriorElement.basis(field, indices)
-    coeffs = [elem.terms.get(t, field.zero()) for t in GRADE3_TRIPLES]
-    return MultiPoly.linear_form(field, LEX3_VARIABLES, coeffs)
 
 
 def build_n15(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
@@ -41,7 +35,7 @@ def build_n15(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
         for j in range(5):
             if i == j:
                 continue
-            mat[i][j] = _three_form_poly(field, (vs[i], vs[j], w))
+            mat[i][j] = lex3_form(ExteriorElement.basis(field, (vs[i], vs[j], w)))
     return mat
 
 
@@ -67,14 +61,9 @@ def dual_ten_tuples(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
             if pairing != field.neg(orientation):
                 raise AssertionError("dual tuples do not pair to the orientation")
             uhat_elem = uhat_elem.scale(field.neg(field.one()))
-        us.append(_elem_to_poly(field, u_elem))
-        uhats.append(_elem_to_poly(field, uhat_elem))
+        us.append(lex3_form(u_elem))
+        uhats.append(lex3_form(uhat_elem))
     return us, uhats
-
-
-def _elem_to_poly(field: Field, elem: ExteriorElement) -> MultiPoly:
-    coeffs = [elem.terms.get(t, field.zero()) for t in GRADE3_TRIPLES]
-    return MultiPoly.linear_form(field, LEX3_VARIABLES, coeffs)
 
 
 def build_sigma15(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .exterior import (GRADE3_TRIPLES, frame_covector, induced_grade3_matrix,
+from .exterior import (ExteriorElement, frame_covector, induced_grade3_matrix,
                        lex3_coordinates, from_frame_coordinates)
 from .fields import Element, Field
 from .gale import NonSyzygeticEquation
@@ -56,13 +56,16 @@ class CoordinateFrame:
         return self.functionals[19]
 
 
+def lex3_form(elem: ExteriorElement) -> MultiPoly:
+    """A grade-3 element as the linear form in ``y0..y19`` with its lex3
+    coordinates as coefficients."""
+    return MultiPoly.linear_form(elem.field, LEX3_VARIABLES,
+                                 lex3_coordinates(elem))
+
+
 def build_frame(field: Field) -> CoordinateFrame:
-    functionals = []
-    for k in range(20):
-        cov = frame_covector(field, k)
-        coeffs = [cov.terms.get(t, field.zero()) for t in GRADE3_TRIPLES]
-        functionals.append(MultiPoly.linear_form(field, LEX3_VARIABLES, coeffs))
-    return CoordinateFrame(field, functionals)
+    return CoordinateFrame(field, [lex3_form(frame_covector(field, k))
+                                   for k in range(20)])
 
 
 def sigma_quadric(field: Field, frame: Optional[CoordinateFrame] = None) -> MultiPoly:

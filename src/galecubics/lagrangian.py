@@ -104,12 +104,10 @@ class QPPresentation:
     p: Matrix
     qhat: Matrix
     phat: Matrix
-    choice: Optional[int] = None
     g: Optional[Matrix] = None
     h: Optional[Matrix] = None
     normalized_eq: Optional[NonSyzygeticEquation] = None
     normalized_dual: Optional[NonSyzygeticEquation] = None
-    input_side: str = "plus"
     _qtp: Optional[Matrix] = dataclasses.field(default=None, init=False,
                                                repr=False, compare=False)
 
@@ -187,9 +185,9 @@ def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
         raise ValueError("i must be 1, 2 or 3")
     field = eq.field
     if eq.sign == 1:
-        plus_side, minus_side, side = eq, gale_dual(eq), "plus"
+        plus_side, minus_side = eq, gale_dual(eq)
     else:
-        plus_side, minus_side, side = gale_dual(eq), eq, "minus"
+        plus_side, minus_side = gale_dual(eq), eq
     perm = [i - 1] + [j for j in (0, 1, 2) if j != i - 1]
     plus_perm = plus_side.permute_l_forms(perm)
     minus_perm = minus_side.permute_l_forms(perm)
@@ -214,10 +212,9 @@ def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
     q = zero4.hstack(q2).hstack(q3).hstack(q4)
     p = p1.hstack(Matrix.zero(field, 10, 4)).hstack(p3).hstack(p4)
 
-    presentation = QPPresentation(field, q, p, qhat, phat, choice=i, g=g, h=h,
+    presentation = QPPresentation(field, q, p, qhat, phat, g=g, h=h,
                                   normalized_eq=normalized_eq,
-                                  normalized_dual=normalized_dual,
-                                  input_side=side)
+                                  normalized_dual=normalized_dual)
     data = validate(field, presentation.adapted_basis())
     return data, presentation
 

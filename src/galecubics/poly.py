@@ -358,17 +358,6 @@ def scalar_multiple(p: MultiPoly, q: MultiPoly) -> Optional[Element]:
 
 # -- univariate helpers (coefficient lists, low degree first) ---------------
 
-def univariate_coeffs(p: MultiPoly) -> List[Element]:
-    if len(p.variables) != 1:
-        raise ValueError("not univariate")
-    k = p.field
-    d = p.total_degree()
-    out = [k.zero()] * (d + 1)
-    for mono, c in p.terms.items():
-        out[mono[0]] = c
-    return out
-
-
 def univariate_from_coeffs(field: Field, var: str, coeffs: Sequence[Element]) -> MultiPoly:
     return MultiPoly(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
 
@@ -377,22 +366,6 @@ def _trim(field: Field, coeffs: List[Element]) -> List[Element]:
     while coeffs and field.is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
-
-
-def univariate_gcd(field: Field, a: Sequence[Element], b: Sequence[Element]) -> List[Element]:
-    """Monic gcd of univariate coefficient lists ([] encodes the zero poly)."""
-    fa, fb = _trim(field, list(a)), _trim(field, list(b))
-    while fb:
-        fa = _poly_mod(field, fa, fb)
-        fa, fb = fb, fa
-    if fa:
-        inv = field.inv(fa[-1])
-        fa = [field.mul(inv, c) for c in fa]
-    return fa
-
-
-def _poly_mod(field: Field, a: List[Element], b: List[Element]) -> List[Element]:
-    return univariate_divmod(field, a, b)[1]
 
 
 def univariate_divmod(field: Field, a: Sequence[Element],
@@ -436,26 +409,3 @@ def univariate_sub(field: Field, a: Sequence[Element],
         y = b[i] if i < len(b) else field.zero()
         out.append(field.sub(x, y))
     return _trim(field, out)
-
-
-def lagrange_interpolate(field: Field, points: Sequence[Tuple[Element, Element]]) -> List[Element]:
-    """Coefficients (low first) of the unique poly of degree < len(points)."""
-    k = field
-    result = [k.zero()] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [k.one()]
-        denom = k.one()
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            # basis *= (x - xj)
-            nxt = [k.zero()] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] = k.add(nxt[d + 1], c)
-                nxt[d] = k.sub(nxt[d], k.mul(xj, c))
-            basis = nxt
-            denom = k.mul(denom, k.sub(xi, xj))
-        f = k.div(yi, denom)
-        for d, c in enumerate(basis):
-            result[d] = k.add(result[d], k.mul(f, c))
-    return _trim(field, result)

@@ -17,8 +17,7 @@ from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation
 from galecubics.lagrangian import lagrangian_from_gale
 from galecubics.linalg import Matrix
-from galecubics.poly import (lagrange_interpolate, univariate_coeffs,
-                             univariate_gcd)
+from galecubics.poly import (_trim, univariate_divmod, univariate_from_coeffs)
 
 
 FIELD = PrimeField(101)
@@ -118,7 +117,7 @@ def test_line_degree_six_and_root_match():
         assert poly.total_degree() == 6
         roots = {t for t in FIELD.elements()
                  if FIELD.is_zero(poly.evaluate([t]))}
-        scan = {t for t, _ in epw_points_on_line(data, p0, p1) if t is not None}
+        scan = {t for t, _ in rank_scan_oracle(data, p0, p1) if t is not None}
         assert roots == scan
 
 
@@ -127,6 +126,132 @@ def test_line_inside_plane_gives_zero_polynomial():
     p0 = sigma_plane_point(FIELD, [1, 2, 3])
     p1 = sigma_plane_point(FIELD, [5, 1, 4])
     assert epw_line_degree(data, p0, p1).is_zero()
+
+
+def rank_scan_oracle(data, p0, p1):
+    """Membership points of the pencil p0 + t*p1 from the rank of the
+    contraction matrix C(p0) + t*C(p1) at every t in GF(p), then
+    ``(None, p1)`` when C(p1) drops rank.  Test-only: the per-t route
+    against which the roots of the determinant divisor are checked."""
+    field = data.field
+    c0 = contraction_matrix(data, p0.coords)
+    c1 = contraction_matrix(data, p1.coords)
+    out = []
+    for t in field.elements():
+        mat = Matrix(field, [[field.add(a, field.mul(t, b)) for a, b in zip(r0, r1)]
+                             for r0, r1 in zip(c0.data, c1.data)])
+        if mat.rank() < 10:
+            out.append((t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
+                                                 for a, b in zip(p0.coords, p1.coords)])))
+    if c1.rank() < 10:
+        out.append((None, p1))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_pencil_scan_matches_rank_scan(p):
+    # every L choice on both signs; per instance three random pencils, one
+    # with p1 on a coordinate plane (a member at t = infinity) and one
+    # inside a coordinate plane (zero divisor: every t, then infinity)
+    field = PrimeField(p)
+    rng = random.Random(40 + p)
+    pencils = []
+    for n, (i, sign) in enumerate((i, s) for i in (1, 2, 3) for s in (1, -1)):
+        while True:
+            eq = NonSyzygeticEquation.random(field, rng)
+            if eq.sign == sign:
+                break
+        data, _ = lagrangian_from_gale(eq, i)
+        plane_point = sigma_plane_point if n % 2 else sigma_prime_plane_point
+        while len(pencils) < 5 * n + 3:
+            p0 = EPWPoint.make(field, [field.random(rng) for _ in range(6)])
+            p1 = EPWPoint.make(field, [field.random(rng) for _ in range(6)])
+            if not p0.same_point(p1):
+                pencils.append((data, p0, p1))
+        pencils.append((data, p0, plane_point(field, [3, 1, 4])))
+        pencils.append((data, plane_point(field, [1, 0, 2]),
+                        plane_point(field, [0, 1, 5])))
+    outputs = []
+    for data, p0, p1 in pencils:
+        got = epw_points_on_line(data, p0, p1)
+        assert got == rank_scan_oracle(data, p0, p1)
+        outputs.append([t for t, _ in got])
+    everything = list(field.elements()) + [None]
+    assert len(pencils) == 30
+    assert outputs[4::5] == [everything] * 6
+    assert all(ts and ts[-1] is None and len(ts) <= 6 for ts in outputs[3::5])
+    assert any(t is not None for ts in outputs[0::5] for t in ts)
+
+
+def univariate_coeffs(p):
+    """Coefficient list (low degree first) of a univariate ``MultiPoly``."""
+    if len(p.variables) != 1:
+        raise ValueError("not univariate")
+    k = p.field
+    out = [k.zero()] * (p.total_degree() + 1)
+    for mono, c in p.terms.items():
+        out[mono[0]] = c
+    return out
+
+
+def univariate_gcd(field, a, b):
+    """Monic gcd of univariate coefficient lists ([] encodes the zero poly)."""
+    fa, fb = _trim(field, list(a)), _trim(field, list(b))
+    while fb:
+        fa, fb = fb, univariate_divmod(field, fa, fb)[1]
+    if fa:
+        inv = field.inv(fa[-1])
+        fa = [field.mul(inv, c) for c in fa]
+    return fa
+
+
+def lagrange_interpolate(field, points):
+    """Coefficients (low first) of the unique poly of degree < len(points)."""
+    k = field
+    result = [k.zero()] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [k.one()]
+        denom = k.one()
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            # basis *= (x - xj)
+            nxt = [k.zero()] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d + 1] = k.add(nxt[d + 1], c)
+                nxt[d] = k.sub(nxt[d], k.mul(xj, c))
+            basis = nxt
+            denom = k.mul(denom, k.sub(xi, xj))
+        f = k.div(yi, denom)
+        for d, c in enumerate(basis):
+            result[d] = k.add(result[d], k.mul(f, c))
+    return _trim(field, result)
+
+
+def test_univariate_gcd():
+    rng = random.Random(11)
+    for _ in range(20):
+        a = [FIELD.random(rng) for _ in range(3)] + [FIELD.one()]
+        b = [FIELD.random(rng) for _ in range(2)] + [FIELD.one()]
+        c = [FIELD.random(rng) for _ in range(2)] + [FIELD.one()]
+        pa = univariate_from_coeffs(FIELD, "t", a)
+        pb = univariate_from_coeffs(FIELD, "t", b)
+        pc = univariate_from_coeffs(FIELD, "t", c)
+        g = univariate_gcd(FIELD, univariate_coeffs(pa * pb),
+                           univariate_coeffs(pa * pc))
+        # gcd is divisible by a (maybe more if b, c share factors)
+        ga = univariate_gcd(FIELD, g, univariate_coeffs(pa))
+        assert len(ga) == len(a)
+
+
+def test_lagrange_interpolation():
+    rng = random.Random(13)
+    for deg in (0, 1, 3, 6):
+        coeffs = [FIELD.random(rng) for _ in range(deg)] + [FIELD.one()]
+        p = univariate_from_coeffs(FIELD, "t", coeffs)
+        points = [(FIELD.from_int(i), p.evaluate([FIELD.from_int(i)]))
+                  for i in range(deg + 1)]
+        assert lagrange_interpolate(FIELD, points) == coeffs
 
 
 def _minor_schedule(pivot_set):
@@ -249,6 +374,13 @@ def test_line_degree_rejects_coincident_points():
     p = EPWPoint.make(FIELD, [1, 2, 3, 4, 5, 6])
     with pytest.raises(ValueError):
         epw_line_degree(data, p, p)
+    with pytest.raises(ValueError):
+        epw_points_on_line(data, p, p)
+    # the scan lists the points of GF(p) and has no analogue over QQ
+    data, _ = lagrangian_from_gale(NonSyzygeticEquation.random(QQ, rng), 1)
+    with pytest.raises(ValueError, match="prime field"):
+        epw_points_on_line(data, EPWPoint.make(QQ, [1, 2, 3, 4, 5, 6]),
+                           EPWPoint.make(QQ, [0, 1, 0, 0, 0, 0]))
 
 
 def test_pi_gamma_structure():

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.linalg import Matrix
-from galecubics.poly import (MultiPoly, lagrange_interpolate, monomials_of_degree,
-                             scalar_multiple, univariate_coeffs,
-                             univariate_from_coeffs, univariate_gcd)
+from galecubics.poly import MultiPoly, monomials_of_degree, scalar_multiple
 
 VARS = ("x", "y", "z")
 
@@ -208,35 +206,6 @@ def test_linear_substitution_matches_subs(field, n_source, n_target):
         assert got == p.subs(images)
     zero = MultiPoly.zero(field, source)
     assert zero.linear_substitution(a, target) == MultiPoly.zero(field, target)
-
-
-def test_univariate_gcd():
-    field = PrimeField(101)
-    rng = random.Random(11)
-    t = ("t",)
-    for _ in range(20):
-        a = [field.random(rng) for _ in range(3)] + [field.one()]
-        b = [field.random(rng) for _ in range(2)] + [field.one()]
-        c = [field.random(rng) for _ in range(2)] + [field.one()]
-        pa = univariate_from_coeffs(field, "t", a)
-        pb = univariate_from_coeffs(field, "t", b)
-        pc = univariate_from_coeffs(field, "t", c)
-        g = univariate_gcd(field, univariate_coeffs(pa * pb),
-                           univariate_coeffs(pa * pc))
-        # gcd is divisible by a (maybe more if b, c share factors)
-        ga = univariate_gcd(field, g, univariate_coeffs(pa))
-        assert len(ga) == len(a)
-
-
-def test_lagrange_interpolation():
-    field = PrimeField(101)
-    rng = random.Random(13)
-    for deg in (0, 1, 3, 6):
-        coeffs = [field.random(rng) for _ in range(deg)] + [field.one()]
-        p = univariate_from_coeffs(field, "t", coeffs)
-        points = [(field.from_int(i), p.evaluate([field.from_int(i)]))
-                  for i in range(deg + 1)]
-        assert lagrange_interpolate(field, points) == coeffs
 
 
 def test_monomials_of_degree_count():
