@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .fields import Element, Field
-from .linalg import Matrix, det_cofactor, sparse_echelon
-from .poly import MultiPoly, PolyRing, monomials_of_degree
+from .linalg import Matrix, sparse_echelon
+from .poly import DET3_TERMS, MultiPoly, cubic_from_terms, monomials_of_degree
 
 DEFAULT_VARIABLES = ("X0", "X1", "X2", "X3", "X4", "X5")
 
@@ -108,10 +108,10 @@ class NonSyzygeticEquation:
         return self.coeffs.submatrix(range(9, 12), range(6)).rank() >= 2
 
     def cubic_polynomial(self) -> MultiPoly:
-        ring = PolyRing(self.field, self.variables)
-        det = det_cofactor(ring, self.m)
-        prod = self.l_forms[0] * self.l_forms[1] * self.l_forms[2]
-        return det + prod if self.sign == 1 else det - prod
+        """det M + sign*L1*L2*L3, the pull-back of det(u0..u8) + sign*u9*u10*u11."""
+        universal = cubic_from_terms(self.field, 12,
+                                     DET3_TERMS + ((self.sign, 9, 10, 11),))
+        return universal.linear_substitution(self.coeffs, self.variables)
 
     def plus_normalized(self, i: int = 1) -> "NonSyzygeticEquation":
         """Equivalent tuple with sign +1 (folds a minus sign into L_i)."""

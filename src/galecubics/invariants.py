@@ -19,8 +19,8 @@ from .fields import Element, Field
 from .gale import NonSyzygeticEquation
 from .lagrangian import (QPPresentation, RhoLagrangianData, adapted_presentation,
                          equations_from_hats)
-from .linalg import Matrix, det_cofactor
-from .poly import MultiPoly, PolyRing, scalar_multiple
+from .linalg import Matrix
+from .poly import DET3_TERMS, MultiPoly, cubic_from_terms, scalar_multiple
 
 LEX3_VARIABLES: Tuple[str, ...] = tuple(f"y{i}" for i in range(20))
 PROJECTED_VARIABLES: Tuple[str, ...] = tuple(f"X{i}" for i in range(10))
@@ -48,6 +48,13 @@ class CoordinateFrame:
 
     def m_f(self) -> List[List[MultiPoly]]:
         return [[self.functionals[10 + 3 * i + j] for j in range(3)] for i in range(3)]
+
+    def det_m(self, start: int) -> MultiPoly:
+        """det M_E (``start`` 0) or det M_F (``start`` 10): det(u0..u8) pulled back."""
+        rows = Matrix(self.field, [f.linear_coefficients()
+                                   for f in self.functionals[start:start + 9]])
+        return cubic_from_terms(self.field, 9, DET3_TERMS).linear_substitution(
+            rows, LEX3_VARIABLES)
 
     def l_e(self) -> MultiPoly:
         return self.functionals[9]
@@ -92,13 +99,10 @@ def big_cubics(field: Field, frame: Optional[CoordinateFrame] = None,
                ) -> Tuple[MultiPoly, MultiPoly]:
     """The cubics 2 det M_E - sigma L_E and 2 det M_F + sigma L_F."""
     frame = frame or build_frame(field)
-    ring = PolyRing(field, LEX3_VARIABLES)
     sigma = sigma_quadric(field, frame)
-    two = MultiPoly.constant(field, LEX3_VARIABLES, field.from_int(2))
-    det_e = det_cofactor(ring, frame.m_e())
-    det_f = det_cofactor(ring, frame.m_f())
-    return (two * det_e - sigma * frame.l_e(),
-            two * det_f + sigma * frame.l_f())
+    two = field.from_int(2)
+    return (frame.det_m(0).scale(two) - sigma * frame.l_e(),
+            frame.det_m(10).scale(two) + sigma * frame.l_f())
 
 
 def block_diagonal6(field: Field, g: Sequence[Sequence[Element]],
@@ -127,15 +131,14 @@ def invariance_report(field: Field, g: Sequence[Sequence[Element]],
     """Observed scalar of each candidate generator under the induced action
     of (g, h); a scalar of one means the polynomial is fixed."""
     frame = frame or build_frame(field)
-    ring = PolyRing(field, LEX3_VARIABLES)
     action = induced_grade3_matrix(field, block_diagonal6(field, g, h),
                                    coords="lex3")
     candidates = {
         "L_E": frame.l_e(),
         "L_F": frame.l_f(),
         "trace": trace_plus_product(field, frame) - frame.l_e() * frame.l_f(),
-        "det_M_E": det_cofactor(ring, frame.m_e()),
-        "det_M_F": det_cofactor(ring, frame.m_f()),
+        "det_M_E": frame.det_m(0),
+        "det_M_F": frame.det_m(10),
         "sigma": sigma_quadric(field, frame),
     }
     scalars, invariant = {}, {}

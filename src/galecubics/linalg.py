@@ -77,8 +77,10 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence[Element]]) -> "Matrix":
+        """The matrix with these columns; an empty list is refused, since it
+        gives no row count."""
         if not columns:
-            return cls(field, [])
+            raise ValueError("no columns: the row count is unknown")
         n = len(columns[0])
         return cls(field, [[col[i] for col in columns] for i in range(n)])
 

@@ -3,14 +3,22 @@
 A :class:`MultiPoly` owns an ordered variable list and a term map from
 exponent tuples to nonzero raw field elements.  Variable counts in this
 package stay small (at most 20), so exponent vectors are stored densely.
+Inside :meth:`MultiPoly.subs` an exponent vector is packed into one integer,
+a slot per variable wide enough for the degree bound of the result, so a
+product of monomials is one integer addition; the dense tuples stay the
+storage format, unpacked once per result term.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm, prod
+from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Element, Field
+from .fields import Element, Field, RationalField
+from .linalg import _integer_row
 
 Monomial = Tuple[int, ...]
 
@@ -54,21 +62,15 @@ class MultiPoly:
         n = len(variables)
         if len(coeffs) != n:
             raise ValueError("coefficient vector length mismatch")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not field.is_zero(c):
-                mono = [0] * n
-                mono[i] = 1
-                terms[tuple(mono)] = c
-        return cls(field, variables, terms)
+        out = cls(field, variables)
+        out.terms = {(0,) * i + (1,) + (0,) * (n - 1 - i): c
+                     for i, c in enumerate(coeffs) if not field.is_zero(c)}
+        return out
 
     # -- predicates and access -------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, mono: Monomial) -> Element:
-        return self.terms.get(tuple(mono), self.field.zero())
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -150,14 +152,6 @@ class MultiPoly:
                     terms[mono] = acc
         return MultiPoly(k, self.variables, terms)
 
-    def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(self.field, self.variables, self.field.one())
-        for _ in range(e):
-            out = out * self
-        return out
-
     def derivative(self, index: int) -> "MultiPoly":
         """Partial derivative; satisfies the Leibniz rule exactly."""
         k = self.field
@@ -188,26 +182,53 @@ class MultiPoly:
 
     def subs(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute variable ``i`` by ``images[i]``; all images must share
-        one ring, which becomes the ring of the result."""
+        one ring, which becomes the ring of the result.
+
+        Each source term is expanded factor by factor into one accumulator
+        keyed by packed monomials; over QQ the images are scaled to integers
+        and the sum is kept over one common denominator."""
         if len(images) != len(self.variables):
             raise ValueError("need one image per variable")
         if not images:
             raise ValueError("empty variable list")
-        target_vars = images[0].variables
-        k = self.field
-        # memoized powers per variable
-        powers: List[List[MultiPoly]] = []
-        for i, img in enumerate(images):
-            powers.append([MultiPoly.constant(k, target_vars, k.one())])
-        out = MultiPoly.zero(k, target_vars)
-        for mono, c in self.terms.items():
-            term = MultiPoly.constant(k, target_vars, c)
-            for i, e in enumerate(mono):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * images[i])
-                if e:
-                    term = term * powers[i][e]
-            out = out + term
+        k, target = self.field, images[0].variables
+        if any(img.field != k or img.variables != target for img in images):
+            raise ValueError("images live in different rings")
+        width = (self.total_degree()
+                 * max(img.total_degree() for img in images)).bit_length()
+        shifts = [width * j for j in range(len(target))]
+        rational = isinstance(k, RationalField)
+        rows = [list(img.terms.values()) for img in images]
+        source = list(self.terms.values())
+        if rational:
+            rows, dens = zip(*map(_integer_row, rows))
+            tdens = [c.denominator * prod(map(pow, dens, m))
+                     for m, c in self.terms.items()]
+            den = lcm(*tdens)
+            source = [c.numerator * (den // t) for c, t in zip(source, tdens)]
+        packed = [[(sum(map(lshift, m, shifts)), c) for m, c in zip(img.terms, row)]
+                  for img, row in zip(images, rows)]
+        add, mul, zero, one = k.add, k.mul, k.zero(), 1 if rational else k.one()
+        acc: Dict[int, Element] = {}
+        for mono, c in zip(self.terms, source):
+            factors = [packed[i] for i, e in enumerate(mono) for _ in range(e)]
+            left = [(0, c)]
+            for j, img in enumerate(factors or [[(0, one)]], 1):
+                dst = acc if j >= len(factors) else {}
+                get = dst.get
+                for m1, c1 in left:
+                    for m2, c2 in img:
+                        m = m1 + m2
+                        if rational:
+                            dst[m] = get(m, 0) + c1 * c2
+                        else:
+                            dst[m] = add(get(m, zero), mul(c1, c2))
+                left = dst.items()
+        mask = (1 << width) - 1
+        out = MultiPoly(k, target)
+        out.terms = {tuple([(m >> s) & mask for s in shifts]):
+                     Fraction(v, den) if rational else v
+                     for m, v in acc.items() if not k.is_zero(v)}
         return out
 
     def linear_substitution(self, a, variables: Sequence[str]) -> "MultiPoly":
@@ -339,6 +360,20 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
             mono[i] += 1
         out.append(tuple(mono))
     return out
+
+
+# det((u0, u1, u2), (u3, u4, u5), (u6, u7, u8)) as terms (sign, i, j, k)
+DET3_TERMS = ((1, 0, 4, 8), (1, 1, 5, 6), (1, 2, 3, 7),
+              (-1, 2, 4, 6), (-1, 0, 5, 7), (-1, 1, 3, 8))
+
+
+def cubic_from_terms(field: Field, nvars: int,
+                     terms: Sequence[Tuple[int, int, int, int]]) -> MultiPoly:
+    """The sum of ``sign * u_i * u_j * u_k`` over distinct monomials
+    ``(sign, i, j, k)`` in ``terms``, in the variables ``u0, u1, ...``."""
+    return MultiPoly(field, [f"u{i}" for i in range(nvars)],
+                     {tuple(f.count(i) for i in range(nvars)): field.from_int(s)
+                      for s, *f in terms})
 
 
 def scalar_multiple(p: MultiPoly, q: MultiPoly) -> Optional[Element]:

@@ -6,8 +6,8 @@ from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.gale import (DEFAULT_VARIABLES, DegenerateTupleError,
                              NonSyzygeticEquation, composition_is_zero,
                              gale_dual, scroll_membership, scroll_point)
-from galecubics.linalg import Matrix
-from galecubics.poly import MultiPoly
+from galecubics.linalg import Matrix, det_cofactor
+from galecubics.poly import MultiPoly, PolyRing
 
 
 def unit_row(field, idx):
@@ -58,6 +58,35 @@ def test_cubic_polynomial_examples():
         field, [[field.zero()] * 6] * 9 + eq.coeffs.data[9:], -1)
     assert eq2.cubic_polynomial() == MultiPoly(field, DEFAULT_VARIABLES, {
         (0, 0, 0, 1, 1, 1): field.from_int(-1)})
+
+
+def reference_cubic(eq):
+    """det M + sign * L1*L2*L3 by cofactor expansion over a PolyRing: the
+    formula cubic_polynomial used before the universal-cubic pull-back."""
+    ring = PolyRing(eq.field, eq.variables)
+    det = det_cofactor(ring, eq.m)
+    prod = eq.l_forms[0] * eq.l_forms[1] * eq.l_forms[2]
+    return det + prod if eq.sign == 1 else det - prod
+
+
+CUBIC_FIELDS = [QQ, PrimeField(2), PrimeField(101), cyclotomic3(QQ),
+                cyclotomic3(PrimeField(5))]
+
+
+@pytest.mark.parametrize("field", CUBIC_FIELDS, ids=lambda f: f.descriptor)
+def test_cubic_polynomial_matches_cofactor_formula(field):
+    rng = random.Random(31)
+    z = [field.zero()] * 6
+    samples = [diagonal_rows(field)]
+    for _ in range(5):
+        samples.append([[field.random(rng) for _ in range(6)]
+                        for _ in range(12)])
+    samples.append([z] * 9 + samples[1][9:])      # M = 0
+    samples.append(samples[2][:9] + [z] * 3)      # L1 = L2 = L3 = 0
+    for rows in samples:
+        for sign in (1, -1):
+            eq = NonSyzygeticEquation.from_coefficients(field, rows, sign)
+            assert eq.cubic_polynomial() == reference_cubic(eq)
 
 
 def test_gale_dual_rejects_degenerate():

@@ -337,6 +337,16 @@ def test_zero_row_matrix_keeps_its_columns(k):
         Matrix(k, [[k.one()]], cols=2)
 
 
+def test_from_columns_refuses_an_empty_list():
+    # an empty column list gives no row count; kernel_basis builds its n x 0
+    # matrix directly instead
+    with pytest.raises(ValueError):
+        Matrix.from_columns(QQ, [])
+    kernel = Matrix.identity(QQ, 4).kernel_basis()
+    assert (kernel.rows, kernel.cols) == (4, 0)
+    assert Matrix.from_columns(QQ, [[1, 2, 3]]).data == [[1], [2], [3]]
+
+
 def test_empty_dimensions_survive():
     k = QQ
     assert (Matrix.zero(k, 3, 0).transpose().rows,

@@ -208,6 +208,114 @@ def test_linear_substitution_matches_subs(field, n_source, n_target):
     assert zero.linear_substitution(a, target) == MultiPoly.zero(field, target)
 
 
+# The memoized-power substitution that MultiPoly.subs replaced, kept
+# verbatim as the oracle of the packed expansion kernel.
+
+def reference_subs(self, images):
+    if len(images) != len(self.variables):
+        raise ValueError("need one image per variable")
+    if not images:
+        raise ValueError("empty variable list")
+    target_vars = images[0].variables
+    k = self.field
+    # memoized powers per variable
+    powers = []
+    for i, img in enumerate(images):
+        powers.append([MultiPoly.constant(k, target_vars, k.one())])
+    out = MultiPoly.zero(k, target_vars)
+    for mono, c in self.terms.items():
+        term = MultiPoly.constant(k, target_vars, c)
+        for i, e in enumerate(mono):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * images[i])
+            if e:
+                term = term * powers[i][e]
+        out = out + term
+    return out
+
+
+def sampled_poly(field, rng, variables, degrees, count):
+    """``count`` random terms (or fewer) of the given total degrees."""
+    monos = [m for d in degrees for m in monomials_of_degree(len(variables), d)]
+    return MultiPoly(field, variables, {m: field.random(rng)
+                                        for m in rng.sample(monos, min(count, len(monos)))})
+
+
+def names(n, prefix):
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def substitution_cases(field, rng):
+    """(source, images) pairs: every image kind, the zero polynomial, a
+    non-homogeneous source, a result degree past the narrowest slot width,
+    and the 6 -> 3, 20 -> 20 and 20 -> 10 shapes of the package."""
+    x3, y2, y3 = names(3, "x"), names(2, "y"), names(3, "y")
+
+    def linear(target):
+        return sampled_poly(field, rng, target, [1], len(target))
+
+    cases = []
+    for _ in range(3):
+        source = sampled_poly(field, rng, x3, [0, 1, 2, 3], 8)   # non-homogeneous
+        nonlinear = [sampled_poly(field, rng, y2, [0, 1, 2], 4) for _ in x3]
+        constants = [sampled_poly(field, rng, y2, [0], 1) for _ in x3]
+        mixed = [linear(y2), MultiPoly.zero(field, y2),
+                 MultiPoly.constant(field, y2, field.from_int(3))]
+        cases += [(source, nonlinear), (source, constants), (source, mixed),
+                  (MultiPoly.zero(field, x3), nonlinear),
+                  (MultiPoly.constant(field, x3, field.one()), nonlinear)]
+    # degree 7 through quadratic images: result degree 14 needs 4-bit slots
+    cases.append((sampled_poly(field, rng, x3, [7], 6),
+                  [sampled_poly(field, rng, y3, [2], 4) for _ in x3]))
+    for n_source, n_target in ((6, 3), (20, 20), (20, 10)):
+        source = sampled_poly(field, rng, names(n_source, "x"), [3], 6)
+        target = names(n_target, "y")
+        images = [linear(target) for _ in range(n_source)]
+        images[1] = MultiPoly.zero(field, target)
+        cases.append((source, images))
+    return cases
+
+
+SUBS_ORACLE_FIELDS = [QQ, PrimeField(2), PrimeField(101), cyclotomic3(QQ),
+                      cyclotomic3(PrimeField(5))]
+
+
+@pytest.mark.parametrize("field", SUBS_ORACLE_FIELDS, ids=lambda f: f.descriptor)
+def test_subs_matches_reference(field):
+    rng = random.Random(41)
+    for source, images in substitution_cases(field, rng):
+        got = source.subs(images)
+        assert got.variables == images[0].variables
+        assert got == reference_subs(source, images)
+        assert not any(field.is_zero(c) for c in got.terms.values())
+
+
+def test_subs_rejects_images_from_another_ring():
+    field = PrimeField(101)
+    images = [MultiPoly.variable(field, ("s", "t"), i % 2) for i in range(3)]
+    p = MultiPoly.variable(field, VARS, 0)    # never touches images[2]
+    for bad in (MultiPoly.variable(field, ("s", "u"), 0),
+                MultiPoly.variable(PrimeField(97), ("s", "t"), 0),
+                MultiPoly.variable(QQ, ("s", "t"), 0)):
+        with pytest.raises(ValueError):
+            p.subs(images[:2] + [bad])
+        with pytest.raises(ValueError):
+            MultiPoly.zero(field, VARS).subs(images[:2] + [bad])
+    with pytest.raises(ValueError):
+        p.subs(images[:2])
+
+
+def test_linear_substitution_rejects_wrong_shape():
+    field = QQ
+    p = MultiPoly.variable(field, VARS, 0)
+    with pytest.raises(ValueError):           # one row short
+        p.linear_substitution(Matrix.identity(field, 2), ("s", "t"))
+    with pytest.raises(ValueError):           # rows longer than the target
+        p.linear_substitution(Matrix.identity(field, 3), ("s", "t"))
+    assert (p.linear_substitution(Matrix.identity(field, 3), ("r", "s", "t"))
+            == MultiPoly.variable(field, ("r", "s", "t"), 0))
+
+
 def test_monomials_of_degree_count():
     assert len(monomials_of_degree(6, 3)) == 56
     assert len(monomials_of_degree(20, 3)) == 1540
