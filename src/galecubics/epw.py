@@ -8,8 +8,12 @@ exactly that wedge power, so membership at one point is a kernel
 computation on a 15 x 10 matrix.  That matrix is linear in the covector,
 so along a pencil its values at the two base points give it everywhere,
 and the monic gcd of its size-10 minors (the determinant divisor, of
-degree 6) vanishes exactly at the membership points of the pencil: one
-elimination over k[t] gives both the degree and the points.
+degree 6) vanishes exactly at the membership points of the pencil.  When
+the matrix at the second point has full rank, constant row and column
+operations bring the pencil to the form [tI + A1 | A2], and the divisor is
+the characteristic polynomial of a matrix of size at most 10: one rref
+gives both the degree and the points.  Otherwise a unimodular elimination
+over k[t] computes it.
 
 On the cubic side, a point ``(e, f)`` with nonzero ``e`` spans a plane
 ``Mf + e L_i = 0`` containing the line ``Mf = L_i = 0``; the conic residual
@@ -146,10 +150,13 @@ def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     sitting at t = infinity), and the zero polynomial when the whole pencil
     lies in the degeneracy locus.
 
-    It is computed exactly, by unimodular elimination over k[t], which
-    leaves the gcd of the maximal minors unchanged."""
-    if p0.same_point(p1):
-        raise ValueError("coincident points do not span a pencil")
+    It is computed exactly.  When p1 is not a member, constant unimodular
+    operations (which keep the gcd of the maximal minors) turn the pencil
+    into [tI + A1 | A2]; in a Kalman decomposition of (A1, A2) the
+    uncontrollable block splits off as a factor det(tI + Au), and by the
+    PBH test the controllable part has full rank at every t, so its minors
+    have gcd 1.  When p1 is a member (or the pencil lies in the locus), a
+    unimodular elimination over k[t] computes the divisor instead."""
     return univariate_from_coeffs(data.field, var,
                                   _determinant_divisor_on_pencil(data, p0, p1))
 
@@ -157,16 +164,72 @@ def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
 def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
                                    p1: EPWPoint) -> List[Element]:
     """Monic gcd of all maximal minors of the (transposed, 10 x 15)
-    contraction matrix along the pencil, computed by unimodular elimination
-    over the univariate polynomial ring: diagonalise with
-    division-with-remainder pivots; the product of the pivots is the
-    divisor.  The contraction is linear in the covector, so its values at
-    the two points are the coefficients of C(t) = C(p0) + t*C(p1)."""
+    contraction matrix C(t) = C(p0) + t*C(p1) along the pencil, low degree
+    first, ``[]`` when it is zero.  The contraction is linear in the
+    covector, so its values at the two points are the coefficients.
+
+    One rref of [C(p1)^T | C(p0)^T] gives P with P C(p1)^T in reduced form.
+    If C(p1)^T has rank 10, with pivot columns S and the others N, then
+    P C(t)^T has the columns tI + A1 on S, A1 = (P C(p0)^T)_S, and
+    subtracting the S columns times R_N = (P C(p1)^T)_N leaves the constant
+    A2 = (P C(p0)^T)_N - A1 R_N on N.  Both steps are constant and
+    invertible, so the divisor is that of [tI + A1 | A2]:
+    * a basis change putting the smallest A1-invariant subspace K that
+      holds the columns of A2 first gives the block triangular
+      [[tI + F11, F12, G1], [0, tI + Au, 0]], Au the map A1 induces on
+      k^10 / K (Kalman decomposition);
+    * every nonzero maximal minor uses all of the columns of tI + Au, so
+      the divisor is det(tI + Au) times that of [tI + F11 | G1];
+    * (F11, G1) is controllable, so [tI + F11 | G1] has full rank at every
+      t of the algebraic closure (PBH test) and its minors have gcd 1.
+    If C(p1)^T has rank below 10 (p1 is a member, roots at t = infinity,
+    or the whole pencil lies in the locus), the k[t] elimination
+    :func:`_divisor_by_elimination` runs instead."""
+    if p0.same_point(p1):
+        raise ValueError("coincident points do not span a pencil")
     field = data.field
-    c0 = contraction_matrix(data, p0.coords)
-    c1 = contraction_matrix(data, p1.coords)
-    entries = [[_trim(field, [a, b]) for a, b in zip(col0, col1)]
-               for col0, col1 in zip(c0.transpose().data, c1.transpose().data)]
+    c0 = contraction_matrix(data, p0.coords).transpose()
+    c1 = contraction_matrix(data, p1.coords).transpose()
+    red, pivots = Matrix(field, [r1 + r0 for r1, r0 in zip(c1.data, c0.data)]).rref()
+    if len(pivots) < 10 or pivots[-1] >= 15:
+        return _divisor_by_elimination(field, c0, c1)
+    rows = red.data
+    free = [j for j in range(15) if j not in pivots]
+    a1 = Matrix(field, [[row[15 + s] for s in pivots] for row in rows])
+    r_n = Matrix(field, [[row[j] for j in free] for row in rows])
+    a2 = Matrix(field, [[row[15 + j] for j in free] for row in rows]) - a1 * r_n
+    # K, grown from the columns of A2 until A1 maps it into itself
+    a1t = a1.transpose()
+    krylov = a2.transpose().row_space()
+    while True:
+        grown = krylov.vstack(krylov * a1t).row_space()
+        if grown.rows == krylov.rows:
+            break
+        krylov = grown
+    # A1 on k^10 / K, in the basis of unit vectors off the pivots of K
+    heads = [next(c for c, x in enumerate(row) if not field.is_zero(x))
+             for row in krylov.data]
+    rest = [j for j in range(10) if j not in heads]
+    columns = []
+    for j in rest:
+        v = a1.column(j)
+        for head, row in zip(heads, krylov.data):
+            f = v[head]
+            if not field.is_zero(f):
+                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+        columns.append([field.neg(v[i]) for i in rest])
+    return Matrix(field, [[col[i] for col in columns] for i in range(len(rest))],
+                  len(rest)).charpoly()
+
+
+def _divisor_by_elimination(field: Field, c0: Matrix, c1: Matrix) -> List[Element]:
+    """The determinant divisor of the 10 x 15 pencil c0 + t*c1 by
+    unimodular elimination over the univariate polynomial ring: diagonalise
+    with division-with-remainder pivots; the product of the pivots is the
+    divisor.  Runs when c1 has rank below 10, and is the test oracle of the
+    constant reduction."""
+    entries = [[_trim(field, [a, b]) for a, b in zip(row0, row1)]
+               for row0, row1 in zip(c0.data, c1.data)]
     rows, cols = 10, 15
     divisor = [field.one()]
     for step in range(rows):
@@ -224,10 +287,15 @@ def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     field = data.field
     if not isinstance(field, PrimeField):
         raise ValueError("scanning requires a prime field")
-    divisor = epw_line_degree(data, p0, p1)
-    out = [(t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
-                                     for a, b in zip(p0.coords, p1.coords)]))
-           for t in field.elements() if field.is_zero(divisor.evaluate([t]))]
+    divisor = _determinant_divisor_on_pencil(data, p0, p1)[::-1]
+    out = []
+    for t in field.elements():
+        value = field.zero()
+        for c in divisor:
+            value = field.add(field.mul(value, t), c)
+        if field.is_zero(value):
+            out.append((t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
+                                                 for a, b in zip(p0.coords, p1.coords)])))
     if epw_contains(data, p1)[0]:
         out.append((None, p1))
     return out

@@ -376,6 +376,55 @@ class Matrix:
         det = reduce(k.mul, pivots, k.one())
         return k.neg(det) if odd else det
 
+    def charpoly(self) -> List[Element]:
+        """Coefficients (low degree first, monic) of det(tI - self).
+
+        A similarity reduces the matrix to upper Hessenberg form H, column
+        by column: swap a nonzero entry below the subdiagonal into place,
+        clear the entries below it with row operations and undo each one on
+        the columns.  A column with nothing below the diagonal is left as it
+        is.  Then p_0 = 1 and
+        p_{m+1} = (t - h_mm) p_m - sum_{i<m} h_im h_{i+1,i}...h_{m,m-1} p_i
+        give det(tI - H) = p_n.  No step divides by an integer, so this is
+        exact over every field, in characteristic 2 and 3 too."""
+        if self.rows != self.cols:
+            raise ValueError("characteristic polynomial of non-square matrix")
+        k = self.field
+        is_zero, mul, sub = k.is_zero, k.mul, k.sub
+        n = self.rows
+        h = [row[:] for row in self.data]
+        for m in range(1, n - 1):
+            i = next((i for i in range(m, n) if not is_zero(h[i][m - 1])), None)
+            if i is None:
+                continue
+            if i != m:
+                h[i], h[m] = h[m], h[i]
+                for row in h:
+                    row[i], row[m] = row[m], row[i]
+            inv = k.inv(h[m][m - 1])
+            for i in range(m + 1, n):
+                if is_zero(h[i][m - 1]):
+                    continue
+                f = mul(h[i][m - 1], inv)
+                h[i] = [sub(x, mul(f, y)) for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = k.add(row[m], mul(f, row[i]))
+        polys = [[k.one()]]
+        for m in range(n):
+            new = [k.zero()] + polys[m]
+            for d, c in enumerate(polys[m]):
+                new[d] = sub(new[d], mul(h[m][m], c))
+            prod = k.one()
+            for i in range(m - 1, -1, -1):
+                prod = mul(prod, h[i + 1][i])
+                if is_zero(prod):
+                    break
+                f = mul(h[i][m], prod)
+                for d, c in enumerate(polys[i]):
+                    new[d] = sub(new[d], mul(f, c))
+            polys.append(new)
+        return polys[n]
+
 
 def _integer_row(row: Sequence[Fraction]) -> tuple[List[int], int]:
     """Integers ``ints`` and ``d > 0`` with ``row == [x / d for x in ints]``,

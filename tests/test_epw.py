@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from galecubics import epw
 from galecubics.epw import (EPWPoint, LineCorrespondenceError,
                             ProjectiveSubspace, conic_covector,
                             contraction_matrix, epw_contains, epw_line_degree,
@@ -358,6 +359,62 @@ def test_line_degree_matches_determinant_divisor():
         assert coeffs == minor_gcd_oracle(data, p0, p1, len(coeffs) - 1)
     assert degrees.count(6) >= 8 and degrees.count(5) >= 2
     assert degrees[3::5] == [5, 5]
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), FIELD, QQ],
+                         ids=lambda f: f.descriptor)
+def test_constant_reduction_matches_elimination(field, monkeypatch):
+    # every L choice on both signs; per instance random pencils (the
+    # constant reduction), and either p1 on a coordinate plane (a root at
+    # t = infinity) or the pencil inside a coordinate plane (zero divisor),
+    # which both take the k[t] elimination; over QQ the pencils have small
+    # integer coordinates and there is one random pencil per instance, since
+    # the elimination oracle takes about 0.3 s on each
+    elimination = epw._divisor_by_elimination
+    ran_elimination = []
+
+    def traced(*args):
+        ran_elimination[-1] = True
+        return elimination(*args)
+
+    monkeypatch.setattr(epw, "_divisor_by_elimination", traced)
+    rng = random.Random(60 + field.characteristic)
+    coordinate = (lambda: field.from_int(rng.randint(-3, 3))) if field == QQ else (
+        lambda: field.random(rng))
+    per_instance = 1 if field == QQ else 3
+    pencils = []
+    for n, (i, sign) in enumerate((i, s) for i in (1, 2, 3) for s in (1, -1)):
+        while True:
+            eq = NonSyzygeticEquation.random(field, rng)
+            if eq.sign == sign:
+                break
+        data, _ = lagrangian_from_gale(eq, i)
+        while len(pencils) < (per_instance + 1) * n + per_instance:
+            p0, p1 = (EPWPoint.make(field, [coordinate() for _ in range(6)])
+                      for _ in range(2))
+            if not p0.same_point(p1):
+                pencils.append((data, p0, p1))
+        plane = [field.from_int(x) for x in (3, 1, 4, 0, 1, 5)]
+        if n % 2:
+            pencils.append((data, p0, sigma_plane_point(field, plane[:3])))
+        else:
+            pencils.append((data, sigma_prime_plane_point(field, plane[:3]),
+                            sigma_prime_plane_point(field, plane[3:])))
+    degrees = []
+    for data, p0, p1 in pencils:
+        ran_elimination.append(False)
+        got = epw_line_degree(data, p0, p1)
+        expected = elimination(data.field,
+                               contraction_matrix(data, p0.coords).transpose(),
+                               contraction_matrix(data, p1.coords).transpose())
+        assert (univariate_coeffs(got) == expected) if expected else got.is_zero()
+        assert ran_elimination[-1] == epw_contains(data, p1)[0]
+        degrees.append(len(expected) - 1)
+    assert False in ran_elimination and True in ran_elimination
+    step = per_instance + 1
+    assert all(d == 6 for d, slow in zip(degrees, ran_elimination) if not slow)
+    assert degrees[per_instance::2 * step] == [-1] * 3
+    assert degrees[per_instance + step::2 * step] == [5] * 3
 
 
 def test_line_through_plane_point_has_that_root():

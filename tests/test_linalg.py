@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.linalg import Matrix, det_cofactor, pfaffian4, same_column_span
+from galecubics.poly import MultiPoly, PolyRing
 
 from conftest import ALL_FIELDS
 
@@ -181,6 +182,48 @@ def test_det_matches_cofactor_oracle(field):
         for _ in range(8):
             m = Matrix.random(field, n, n, rng)
             assert m.det() == det_cofactor(field, m.data)
+
+
+def charpoly_oracle(field, m):
+    """Coefficients (low first) of det(tI - m) by cofactor expansion over
+    a PolyRing."""
+    ring = PolyRing(field, ["t"])
+    t = MultiPoly.variable(field, ["t"], 0)
+    det = det_cofactor(ring, [
+        [(t if i == j else ring.zero()) - MultiPoly.constant(field, ["t"], x)
+         for j, x in enumerate(row)] for i, row in enumerate(m.data)])
+    coeffs = [field.zero()] * (m.rows + 1)
+    for mono, c in det.terms.items():
+        coeffs[mono[0]] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(101), QQ],
+                         ids=lambda f: f.descriptor)
+def test_charpoly_matches_cofactor_oracle(field):
+    rng = random.Random(23)
+    samples = [Matrix(field, [], 0), Matrix.zero(field, 4, 4),
+               Matrix.identity(field, 3).scale(field.from_int(2))]
+    samples += [Matrix.random(field, n, n, rng) for n in range(1, 7) for _ in range(5)]
+    for n in (3, 4, 6):
+        # a zero in the subdiagonal with a nonzero below it: a row swap
+        swap = Matrix.random(field, n, n, rng)
+        swap.data[1][0], swap.data[2][0] = field.zero(), field.one()
+        # nothing below the diagonal in the first column: that column is
+        # skipped, and so is the second column of a block diagonal matrix
+        skip = Matrix.random(field, n, n, rng)
+        for i in range(1, n):
+            skip.data[i][0] = field.zero()
+        block = Matrix.random(field, 2, 2, rng)
+        block = block.hstack(Matrix.zero(field, 2, n - 2)).vstack(
+            Matrix.zero(field, n - 2, 2).hstack(Matrix.random(field, n - 2, n - 2, rng)))
+        samples += [swap, skip, block]
+    for m in samples:
+        got = m.charpoly()
+        assert got == charpoly_oracle(field, m)
+        assert got[-1] == field.one()
+    with pytest.raises(ValueError):
+        Matrix.zero(field, 2, 3).charpoly()
 
 
 def test_det_multiplicative():
