@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .exterior import (GRADE2_PAIRS, GRADE3_TRIPLES, GRADE4_QUADS,
                        ExteriorElement, frame_coordinates,
                        from_frame_coordinates, lex3_coordinates)
-from .fields import Element, Field, PrimeField
+from .fields import Element, Field, PrimeField, RationalField, is_prime
 from .gale import NonSyzygeticEquation, multiplier_columns
+from .groebner import buchberger, is_zero_dim_cone
+from .invariants import LEX3_VARIABLES
 from .lagrangian import RhoLagrangianData
 from .linalg import Matrix, sparse_echelon
 from .poly import (MultiPoly, PolyRing, _trim, monomials_of_degree,
@@ -655,10 +658,9 @@ AVARS = tuple(f"a{i}" for i in range(10))
 class DecomposableVectorReport:
     """Outcome of the no-decomposable-vectors test.
 
-    The sampling method is a necessary condition only (no sampled
-    decomposable vector lies in the subspace); the elimination method
-    certifies, over the algebraic closure, that the subspace meets the cone
-    of decomposable vectors in the origin alone."""
+    Both methods certify, over the algebraic closure, that the subspace
+    meets the cone of decomposable vectors in the origin alone
+    (``certified_none``), or say why they could not."""
 
     method: str
     found_decomposable: bool
@@ -669,85 +671,110 @@ class DecomposableVectorReport:
         return not self.found_decomposable
 
 
-def decomposability_quadrics(data: RhoLagrangianData) -> List[MultiPoly]:
-    """Quadratic equations, in coordinates on the subspace, of its
-    intersection with the cone of decomposable grade-3 vectors: the
-    coefficients of (contraction of x by a grade-2 covector) wedge x."""
-    field = data.field
-    ring = PolyRing(field, AVARS)
-    cols_lex = [lex3_coordinates(from_frame_coordinates(field,
-                                                        data.matrix.column(j)))
-                for j in range(10)]
-    terms = {}
-    for idx, triple in enumerate(GRADE3_TRIPLES):
-        form = MultiPoly.linear_form(field, AVARS,
-                                     [cols_lex[j][idx] for j in range(10)])
-        if not form.is_zero():
-            terms[triple] = form
-    x = ExteriorElement(ring, 3, terms)
-    quadrics: List[MultiPoly] = []
+def _first_up_to_sign(polys):
+    """The nonzero ones of ``polys``, each unless it or its negative came
+    earlier."""
     seen = set()
-    for i in range(6):
-        for j in range(6):
-            if i == j:
-                continue
-            cov_i = [MultiPoly.constant(field, AVARS,
-                                        field.one() if k == i else field.zero())
-                     for k in range(6)]
-            cov_j = [MultiPoly.constant(field, AVARS,
-                                        field.one() if k == j else field.zero())
-                     for k in range(6)]
-            y = x.contract(cov_j).contract(cov_i)
-            z = y.wedge(x)
-            for quad in GRADE4_QUADS:
-                q = z.terms.get(quad)
-                if q is None or q.is_zero():
-                    continue
-                key = frozenset(q.terms.items())
-                neg = frozenset((-q).terms.items())
-                if key in seen or neg in seen:
-                    continue
-                seen.add(key)
-                quadrics.append(q)
-    return quadrics
+    for q in polys:
+        if q is None or q.is_zero() or frozenset(q.terms.items()) in seen:
+            continue
+        seen.add(frozenset(q.terms.items()))
+        seen.add(frozenset((-q).terms.items()))
+        yield q
 
 
-def random_decomposable(field: Field, rng: random.Random):
-    """Frame coordinates of a random product of three vectors."""
-    while True:
-        vs = [ExteriorElement.vector(field, [field.random(rng)
-                                             for _ in range(6)])
-              for _ in range(3)]
-        w = vs[0].wedge(vs[1]).wedge(vs[2])
-        if not w.is_zero():
-            return frame_coordinates(w)
+@lru_cache(maxsize=None)
+def _universal_decomposability_quadrics(field: Field) -> Tuple[MultiPoly, ...]:
+    """The grade-4 coefficients of (contraction of x by e_j* then e_i*)
+    wedge x, i != j, for the generic grade-3 vector x with lex3 coordinates
+    ``y0..y19``: 45 up to sign, in first-occurrence order."""
+    ring = PolyRing(field, LEX3_VARIABLES)
+    x = ExteriorElement(ring, 3, {
+        triple: MultiPoly.variable(field, LEX3_VARIABLES, idx)
+        for idx, triple in enumerate(GRADE3_TRIPLES)})
+    unit = [[MultiPoly.constant(field, LEX3_VARIABLES,
+                                field.one() if k == i else field.zero())
+             for k in range(6)] for i in range(6)]
+    wedges = [x.contract(unit[j]).contract(unit[i]).wedge(x)
+              for i in range(6) for j in range(6) if i != j]
+    return tuple(_first_up_to_sign(z.terms.get(quad) for z in wedges
+                                   for quad in GRADE4_QUADS))
+
+
+def decomposability_quadrics(data: RhoLagrangianData) -> List[MultiPoly]:
+    """Quadratic equations, in coordinates ``a0..a9`` on the subspace, of
+    its intersection with the cone of decomposable grade-3 vectors: the
+    coefficients of (contraction of x by a grade-2 covector) wedge x,
+    pulled back from the lex3 coordinates along the spanning columns, the
+    first of each pair equal up to sign kept."""
+    field = data.field
+    cols_lex = Matrix.from_columns(field, [
+        lex3_coordinates(from_frame_coordinates(field, data.matrix.column(j)))
+        for j in range(10)])                                      # 20 x 10
+    return list(_first_up_to_sign(
+        q.linear_substitution(cols_lex, AVARS)
+        for q in _universal_decomposability_quadrics(field)))
+
+
+def _groebner_prime(quadrics: Sequence[MultiPoly]) -> int:
+    """The first prime from 101 on that divides no denominator of the
+    (rational) coefficients."""
+    dens = [c.denominator for q in quadrics for c in q.terms.values()]
+    p = 101
+    while not is_prime(p) or any(d % p == 0 for d in dens):
+        p += 1
+    return p
 
 
 def decomposable_vector_check(data: RhoLagrangianData,
-                              rng: Optional[random.Random] = None,
-                              samples: int = 200,
-                              method: str = "sampling",
+                              method: str = "groebner",
                               max_degree: int = 5,
                               ) -> DecomposableVectorReport:
     """Test whether the subspace contains decomposable vectors.
 
-    ``sampling`` (the default) draws random decomposable vectors and flags
-    any that land in the subspace;  ``elimination`` restricts the
-    decomposability quadrics to the subspace and certifies the cone is
-    zero-dimensional (prime fields only)."""
+    ``groebner`` (the default) computes a Groebner basis of the
+    decomposability quadrics restricted to the subspace and tests whether
+    their cone is the origin alone: over a prime field this decides the
+    question over the algebraic closure; over the rationals the quadrics are
+    reduced at a prime dividing no denominator, named in ``detail``, and a
+    cone that is not the origin alone there gives "inconclusive".
+    ``elimination`` (prime fields only) checks whether the graded pieces of
+    the ideal fill every monomial of some degree up to ``max_degree``, by
+    exact sparse ranks."""
     field = data.field
-    if method == "sampling":
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            w = random_decomposable(field, rng)
-            extended = data.matrix.hstack(Matrix.from_columns(field, [w]))
-            if extended.rank() == data.matrix.cols:
-                return DecomposableVectorReport(
-                    method, True, False, "sampled decomposable vector lies in "
-                                         "the subspace")
+    if method == "groebner":
+        quadrics = decomposability_quadrics(data)
+        where = ""
+        if isinstance(field, RationalField):
+            # zero-dimensional mod p means that the ideal mod p holds every
+            # monomial of some degree D, i.e. the degree-D Macaulay matrix of
+            # the quadrics has full rank mod p; its entries have no p in a
+            # denominator, so some maximal minor is a p-adic unit, hence
+            # nonzero, and the matrix has full rank over the rationals too
+            p = _groebner_prime(quadrics)
+            prime = PrimeField(p)
+            quadrics = [MultiPoly(prime, AVARS, {
+                m: c.numerator * pow(c.denominator, -1, p) % p
+                for m, c in q.terms.items()}) for q in quadrics]
+            where = f" mod {p}"
+        elif not isinstance(field, PrimeField):
+            raise ValueError("the groebner certificate runs over the "
+                             "rationals and prime fields")
+        gb = buchberger(quadrics)
+        if is_zero_dim_cone(gb):
+            return DecomposableVectorReport(
+                method, False, True,
+                f"{len(quadrics)} quadrics{where}: a {len(gb.generators)}-element "
+                f"Groebner basis cuts out the origin alone")
+        if where:
+            return DecomposableVectorReport(
+                method, False, False,
+                f"inconclusive: the {len(quadrics)} quadrics{where} cut out "
+                f"more than the origin")
         return DecomposableVectorReport(
-            method, False, False,
-            f"none of {samples} sampled decomposable vectors lies in the subspace")
+            method, True, False,
+            f"{len(quadrics)} quadrics cut out more than the origin: the "
+            f"subspace holds decomposable vectors over the algebraic closure")
     if method == "elimination":
         if not isinstance(field, PrimeField):
             raise ValueError("elimination certification runs over prime fields")
@@ -771,7 +798,7 @@ def decomposable_vector_check(data: RhoLagrangianData,
         return DecomposableVectorReport(
             method, False, False,
             f"inconclusive: degree-{max_degree} piece has codimension {codim}")
-    raise ValueError("method must be 'sampling' or 'elimination'")
+    raise ValueError("method must be 'groebner' or 'elimination'")
 
 
 # -- harvesting ---------------------------------------------------------------

@@ -1,38 +1,42 @@
-"""Buchberger engine over prime fields, for smoothness certificates.
+"""Buchberger engine over prime fields, for smoothness certificates and
+the certificate that a subspace holds no decomposable vector.
 
-Degrevlex only.  Pair selection follows the normal strategy refined by
-sugar degree (Giovini, Mora, Niesi, Robbiano, Traverso 1991); the
-coprimality criterion and the chain criterion prune pairs.  Prime fields
-only: coefficient growth over the rationals is a deliberate non-goal, and
-smoothness over the rationals is certified by a good prime reduction
-instead (upper-semicontinuity of singular loci).
+Degrevlex only.  Prime fields only: coefficient growth over the rationals
+is a deliberate non-goal, and smoothness over the rationals is certified
+by a good prime reduction instead (upper-semicontinuity of singular loci).
 
-``buchberger`` computes each basis element's leading monomial once, when
-the element is appended, and each pair's key ``(sugar, degrevlex of the
-lcm)`` once, when the pair is inserted.  Pairs go into a set in the order
-(1,0), (2,0), (2,1), ..., (n,k) for k < n, and ``min`` over that set picks
-the next pair, so the selection order and its tie-breaks, the S-pairs
-reduced and every intermediate basis are those of the engine that
-recomputed every key at every step (kept as the oracle of the
-differential test in ``tests/test_groebner.py``).  A heap of pairs or
-Gebauer-Moeller pair installation would be faster still, but both change
-which pairs get reduced, and are deliberately not used.
+``buchberger`` installs pairs by the Gebauer-Moeller update (Gebauer and
+Moeller 1988, in the form of Becker and Weispfenning's UPDATE): of the new
+pairs (h, g) it keeps, among those whose lcm another one's lcm divides,
+only one, and none with coprime leading monomials; an old pair (g1, g2)
+goes when lm(h) divides its lcm and differs from lcm(g1, h) and
+lcm(g2, h); an element whose lead lm(h) divides enters no later pair.
+The pairs wait in a heap keyed by ``(sugar, degrevlex of the lcm, i, j)``,
+so the normal strategy refined by sugar degree (Giovini, Mora, Niesi,
+Robbiano, Traverso 1991) picks them and ties have a written order; a pair
+the update drops stays in the heap and is skipped when popped.  The basis
+is kept packed (see ``_ReducerTable``) and monic with plain ``int``
+coefficients in [0, p): each S-polynomial is built on the packed entries
+and fully reduced by ``_reduce_packed``, one ``% p`` per term update and
+no ``Field`` call.  The reduced basis is unique, so it is that of the pair
+loop that stored every pair and picked it with ``min`` (kept as the oracle
+of the differential test in ``tests/test_groebner.py``), although the
+S-polynomials reduced are others, in another order, and never more.
 
-``normal_form`` reduces on packed monomials: each exponent vector becomes
-one ``int`` (see ``_ReducerTable``) whose order is the reverse of degrevlex,
-so that comparison, product and divisibility are single integer operations.
-This holds while every exponent stays below ``2**(bits - 1)`` in ``bits``-
-wide slots; degrevlex is degree-compatible, so no term of a reduction has a
-degree above that of its input, and packing refuses a monomial past the
-limit rather than answering wrongly.  The work terms wait in a heap
-(Monagan and Pearce 2011), their coefficients in a dict; a key cancelled
-after it was pushed is skipped when popped.  Each term is still reduced by
-the first basis element, in basis order, whose lead divides it, with the
-same ``Field`` operations, so every remainder and every basis is that of
-the tuple engine.  ``buchberger`` packs each element once, when it is
-appended, into a table that serves every reduction of the run and
-``_autoreduce``; the slots start as narrow as the generators allow and the
-table is repacked wider when an S-polynomial needs it.
+``normal_form`` keeps the ``MultiPoly`` interface for every field and
+reduces on the same packed monomials: each exponent vector becomes one
+``int`` whose order is the reverse of degrevlex, so that comparison,
+product and divisibility are single integer operations.  This holds while
+every exponent stays below ``2**(bits - 1)`` in ``bits``-wide slots;
+degrevlex is degree-compatible, so no term of a reduction has a degree
+above that of its input, and packing refuses a monomial past the limit
+rather than answering wrongly.  The work terms wait in a heap (Monagan and
+Pearce 2011), their coefficients in a dict; a key cancelled after it was
+pushed is skipped when popped.  Each term is reduced by the first basis
+element, in basis order, whose lead divides it.  ``buchberger``'s table
+starts as narrow as the generators allow and is repacked wider when an
+S-polynomial needs it; the pair heap is keyed by exponent tuples, which a
+repack leaves alone.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import Field, PrimeField
 from .poly import Monomial, MultiPoly
@@ -72,7 +76,7 @@ def monomial_sub(a: Monomial, b: Monomial) -> Monomial:
 
 class _ReducerTable:
     """Nonzero basis elements packed for reduction, in basis order: one
-    ``(packed lead, lead coefficient, packed tail)`` entry per element.
+    ``(packed lead, packed monic tail)`` entry per element.
 
     A monomial m in n variables packs to ``E(m) - (deg(m) << width)``, where
     E puts each exponent in a ``bits``-wide slot (variable 0 lowest) and
@@ -111,17 +115,39 @@ class _ReducerTable:
         slot = (1 << bits) - 1
         return tuple((e >> (bits * i)) & slot for i in range(self.nvars))
 
+    def lcm(self, a: int, b: int) -> int:
+        """Slotwise maximum of the exponent parts ``E`` of two packed
+        monomials (``h & emask`` with ``emask = (1 << width) - 1``): the
+        guard bit of a slot of ``(a | guard) - b`` is set exactly where
+        a's exponent is at least b's, and no slot borrows from the next."""
+        ge = ((a | self.guard) - b) & self.guard
+        take = ge - (ge >> (self.bits - 1))
+        return (a & take) | (b & ~take)
+
     def add(self, g: MultiPoly) -> None:
         if g.is_zero():
             return
+        field = g.field
         packed = [(self.pack(m), c) for m, c in g.terms.items()]
         lead, lc = min(packed, key=itemgetter(0))
-        self.entries.append((lead, lc, [t for t in packed if t[0] != lead]))
+        inv = field.inv(lc)
+        self.entries.append((lead, [(h, field.mul(inv, c))
+                                    for h, c in packed if h != lead]))
 
     def without(self, index: int) -> "_ReducerTable":
         """The same packing with entry ``index`` left out."""
         table = _ReducerTable((), self.nvars, self.limit)
         table.entries = self.entries[:index] + self.entries[index + 1:]
+        return table
+
+    def widened(self, degree: int) -> "_ReducerTable":
+        """The same entries repacked into slots whose limit reaches
+        ``degree``."""
+        table = _ReducerTable((), self.nvars, degree)
+        pack, unpack = table.pack, self.unpack
+        table.entries = [(pack(unpack(lead)),
+                          [(pack(unpack(h)), c) for h, c in tail])
+                         for lead, tail in self.entries]
         return table
 
 
@@ -131,7 +157,7 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
 
     Each term is reduced by the first basis element whose leading monomial
     divides it.  ``table``, when given, is the packed form of exactly this
-    basis (``buchberger`` keeps one per run); otherwise one is built here."""
+    basis; otherwise one is built here."""
     field = p.field
     if table is None:
         degree = max([p.total_degree()] + [g.total_degree() for g in basis])
@@ -146,29 +172,67 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
         if h not in work:
             continue    # cancelled after it was pushed
         coeff = work.pop(h)
-        for lead, lc, tail in entries:
+        for lead, tail in entries:
             if not (h - lead) & guard:
                 break
         else:
             out[table.unpack(h)] = coeff
             continue
         shift = h - lead
-        factor = field.div(coeff, lc)
         # every new term lies below h, so a popped key never comes back
         for gh, gc in tail:
             key = gh + shift
             if key in work:
-                acc = field.sub(work[key], field.mul(factor, gc))
+                acc = field.sub(work[key], field.mul(coeff, gc))
                 if field.is_zero(acc):
                     del work[key]
                 else:
                     work[key] = acc
             else:
-                acc = field.sub(field.zero(), field.mul(factor, gc))
+                acc = field.sub(field.zero(), field.mul(coeff, gc))
                 if not field.is_zero(acc):
                     work[key] = acc
                     heappush(heap, key)
     return MultiPoly(field, p.variables, out)
+
+
+def _reduce_packed(work: Dict[int, int], table: _ReducerTable,
+                   p: int) -> List[Tuple[int, int]]:
+    """Full reduction over GF(p) of the packed polynomial ``work`` (packed
+    monomial -> nonzero ``int`` in [0, p), consumed) by the monic entries
+    of ``table``: the remainder as ``(packed monomial, coefficient)``
+    pairs, largest monomial first.  The loop of ``normal_form`` on plain
+    ``int`` coefficients."""
+    entries, guard = table.entries, table.guard
+    get = work.get
+    heap = list(work)
+    heapify(heap)
+    out: List[Tuple[int, int]] = []
+    while heap:
+        h = heappop(heap)
+        coeff = work.pop(h, 0)
+        if not coeff:
+            continue    # cancelled after it was pushed
+        for lead, tail in entries:
+            if not (h - lead) & guard:
+                break
+        else:
+            out.append((h, coeff))
+            continue
+        shift = h - lead
+        for gh, gc in tail:
+            key = gh + shift
+            old = get(key)
+            if old is None:
+                work[key] = -coeff * gc % p
+                heappush(heap, key)
+            else:
+                acc = (old - coeff * gc) % p
+                if acc:
+                    work[key] = acc
+                else:
+                    del work[key]
+    return out
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -208,63 +272,105 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
     field = gens[0].field
     if not isinstance(field, PrimeField):
         raise ValueError("prime-field coefficients only")
+    p = field.p
     variables = gens[0].variables
-    basis: List[MultiPoly] = []
-    sugar: List[int] = []
-    leads: List[Monomial] = []
-    pairs: Set[Tuple[int, int]] = set()
-    keys: Dict[Tuple[int, int], tuple] = {}  # pair -> (sugar, degrevlex of lcm)
     table = _ReducerTable((), len(variables),
                           max(g.total_degree() for g in gens))
+    entries = table.entries
+    sugar: List[int] = []
+    degree: List[int] = []
+    lead_e: List[int] = []     # exponent part of each packed lead
+    live: List[int] = []       # elements whose lead no later lead divides
+    pairs: Dict[Tuple[int, int], int] = {}   # pair -> exponent part of lcm
+    heap: List[tuple] = []
 
-    def append(g: MultiPoly, s: int) -> None:
-        n = len(basis)
-        basis.append(g)
+    def install(packed: List[Tuple[int, int]], s: int) -> None:
+        """Append a packed element, largest monomial first, made monic, of
+        sugar at least ``s``, and run the Gebauer-Moeller update."""
+        h = len(entries)
+        lead, lc = packed[0]
+        inv = pow(lc, p - 2, p)
+        he = lead & ((1 << table.width) - 1)
+        guard, lcm = table.guard, table.lcm
+        entries.append((lead, [(t, c * inv % p) for t, c in packed[1:]]))
+        degree.append(-(lead >> table.width))
+        s = max(s, degree[h])
         sugar.append(s)
-        leads.append(leading_monomial(g))
-        table.add(g)
-        for k in range(n):
-            lcm = monomial_lcm(leads[n], leads[k])
-            pair = (n, k)
-            keys[pair] = (max(sugar[n] + sum(lcm) - sum(leads[n]),
-                              sugar[k] + sum(lcm) - sum(leads[k])),
-                          degrevlex_key(lcm))
-            pairs.add(pair)
+        lead_e.append(he)
+        new = [(k, lcm(he, lead_e[k])) for k in live]
+        kept = []   # (k, lcm, coprime)
+        for idx, (k, m) in enumerate(new):
+            coprime = m == he + lead_e[k]
+            if not coprime and (
+                    any(not (m - m2) & guard for _, m2 in new[idx + 1:])
+                    or any(not (m - m2) & guard for _, m2, _ in kept)):
+                continue
+            kept.append((k, m, coprime))
+        for pair, m in list(pairs.items()):
+            if (m - he) & guard:
+                continue    # lm(h) does not divide the lcm
+            i, j = pair
+            if m != lcm(lead_e[i], he) and m != lcm(lead_e[j], he):
+                del pairs[pair]
+        live[:] = [k for k in live if (lead_e[k] - he) & guard] + [h]
+        for k, m, coprime in kept:
+            if coprime:
+                continue
+            mono = table.unpack(m)
+            d = sum(mono)
+            pairs[h, k] = m
+            heappush(heap, (max(s + d - degree[h], sugar[k] + d - degree[k]),
+                            degrevlex_key(mono), h, k))
 
     for g in gens:
-        append(g, g.total_degree())
+        install(sorted((table.pack(m), c % p) for m, c in g.terms.items()), 0)
 
-    while pairs:
-        pair = min(pairs, key=keys.__getitem__)
-        pairs.discard(pair)
-        pair_sugar = keys.pop(pair)[0]
-        i, j = pair
-        li, lj = leads[i], leads[j]
-        lcm = monomial_lcm(li, lj)
-        if monomial_mul(li, lj) == lcm:
-            continue  # coprime leading terms reduce to zero
-        # chain criterion: some k with lm_k | lcm and both mixed pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(leads[k], lcm):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j])
-        if sum(lcm) > table.limit:   # the S-polynomial needs wider slots
-            table = _ReducerTable(basis, len(variables), sum(lcm))
-        r = normal_form(s, basis, table)
-        if r.is_zero():
-            continue
-        append(r, max(pair_sugar, r.total_degree()))
+    while heap:
+        pair_sugar, _, i, j = heappop(heap)
+        m = pairs.pop((i, j), None)
+        if m is None:
+            continue    # dropped by a later update
+        mono = table.unpack(m)
+        if sum(mono) > table.limit:   # the S-polynomial needs wider slots
+            table = table.widened(sum(mono))
+            entries = table.entries
+            mask = (1 << table.width) - 1
+            lead_e[:] = [lead & mask for lead, _ in entries]
+            for pair in pairs:
+                pairs[pair] = table.lcm(lead_e[pair[0]], lead_e[pair[1]])
+        top = table.pack(mono)
+        (li, ti), (lj, tj) = entries[i], entries[j]
+        shift = top - li
+        work = {h + shift: c for h, c in ti}
+        shift = top - lj
+        for h, c in tj:
+            key = h + shift
+            acc = (work.get(key, 0) - c) % p
+            if acc:
+                work[key] = acc
+            else:
+                work.pop(key, None)
+        r = _reduce_packed(work, table, p)
+        if r:
+            install(r, pair_sugar)
 
-    return GroebnerBasis(field, variables, _autoreduce(basis, table))
+    # reduced basis: the minimal elements, each tail reduced by the others
+    guard = table.guard
+    minimal = [k for k in live
+               if all(k2 == k or (lead_e[k] - lead_e[k2]) & guard
+                      for k2 in live)]
+    reducers = _ReducerTable((), table.nvars, table.limit)
+    out: List[MultiPoly] = []
+    for k in sorted(minimal, key=lambda k: entries[k][0], reverse=True):
+        lead, tail = entries[k]
+        if len(minimal) > 1:
+            reducers.entries = [entries[k2] for k2 in minimal if k2 != k]
+            tail = _reduce_packed(dict(tail), reducers, p)
+        g = MultiPoly(field, variables)
+        g.terms = {table.unpack(lead): 1,
+                   **{table.unpack(h): c for h, c in tail}}
+        out.append(g)
+    return GroebnerBasis(field, variables, out)
 
 
 def _autoreduce(basis: List[MultiPoly],
@@ -277,7 +383,7 @@ def _autoreduce(basis: List[MultiPoly],
         table = _ReducerTable(basis, len(basis[0].variables),
                               max(g.total_degree() for g in basis))
     # drop redundant generators (lead divisible by another lead)
-    leads = [lead for lead, _, _ in table.entries]
+    leads = [lead for lead, _ in table.entries]
     guard = table.guard
     kept: List[MultiPoly] = []
     kept_table = _ReducerTable((), table.nvars, table.limit)

@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from .fields import Element, Field, RationalField
+from .fields import Element, Field, PrimeField, RationalField
 
 
 class Matrix:
@@ -490,7 +490,20 @@ def sparse_echelon(field: Field, vectors: Iterable[Dict[Hashable, Element]],
     by its smallest label and scaled to one there, so a pivot holds only
     labels at or above its own.  The pivot labels are those of the reduced
     echelon form of the span, whatever the order of the vectors.  Stops
-    once ``cap`` pivots are found."""
+    once ``cap`` pivots are found.
+
+    Over a prime field the same loop runs on plain ``int`` entries, each
+    input entry reduced mod p first, with one ``% p`` per update
+    (``_sparse_echelon_mod``); every other field takes the generic loop
+    (``_sparse_echelon_generic``, the differential oracle of the first)."""
+    if isinstance(field, PrimeField):
+        return _sparse_echelon_mod(field.p, vectors, cap)
+    return _sparse_echelon_generic(field, vectors, cap)
+
+
+def _sparse_echelon_generic(field: Field, vectors: Iterable[Dict[Hashable, Element]],
+                            cap: Optional[int] = None,
+                            ) -> Dict[Hashable, Dict[Hashable, Element]]:
     is_zero, mul, sub = field.is_zero, field.mul, field.sub
     pivots: Dict[Hashable, Dict[Hashable, Element]] = {}
     for vec in vectors:
@@ -523,3 +536,48 @@ def sparse_echelon(field: Field, vectors: Iterable[Dict[Hashable, Element]],
                         work[plabel] = acc
                         heappush(heap, plabel)
     return pivots
+
+
+def _sparse_echelon_mod(p: int, vectors: Iterable[Dict[Hashable, int]],
+                        cap: Optional[int]) -> Dict[Hashable, Dict[Hashable, int]]:
+    """``sparse_echelon`` over GF(p) on ``int`` entries in [0, p), with
+    each label replaced by its rank among all labels, so that the heap and
+    the dicts compare and hash small ints."""
+    vectors = list(vectors)
+    labels = sorted({k for vec in vectors for k in vec})
+    rank = {k: r for r, k in enumerate(labels)}
+    pivots: Dict[int, List[tuple]] = {}    # each pivot without its own label
+    for vec in vectors:
+        if len(pivots) == cap:
+            break
+        work = {}
+        for k, v in vec.items():
+            v %= p
+            if v:
+                work[rank[k]] = v
+        get = work.get
+        heap = list(work)
+        heapify(heap)
+        while heap:
+            label = heappop(heap)
+            factor = work.pop(label, 0)
+            if not factor:
+                continue    # cancelled after it was pushed
+            tail = pivots.get(label)
+            if tail is None:
+                inv = pow(factor, p - 2, p)
+                pivots[label] = [(k, v * inv % p) for k, v in work.items()]
+                break
+            for plabel, pval in tail:
+                old = get(plabel)
+                if old is None:
+                    work[plabel] = -factor * pval % p
+                    heappush(heap, plabel)
+                else:
+                    acc = (old - factor * pval) % p
+                    if acc:
+                        work[plabel] = acc
+                    else:
+                        del work[plabel]
+    return {labels[r]: {labels[r]: 1, **{labels[k]: v for k, v in tail}}
+            for r, tail in pivots.items()}

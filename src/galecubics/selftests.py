@@ -13,9 +13,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from .epw import (EPWPoint, conic_covector, epw_contains, epw_line_degree,
-                  epw_to_lines, harvest_epw_points, line_to_epw,
-                  residual_conic, rho_plane_condition, sigma_plane_point,
+from .epw import (EPWPoint, conic_covector, decomposable_vector_check,
+                  epw_contains, epw_line_degree, epw_to_lines,
+                  harvest_epw_points, line_to_epw, residual_conic,
+                  rho_plane_condition, sigma_plane_point,
                   sigma_planes_disjoint, sigma_prime_plane_point)
 from .equivariant import (A4FamilyParams, a4_family, a4_point_and_covector_maps,
                           a4_relations_hold, equivariance_probe, is_g_lagrangian)
@@ -190,11 +191,12 @@ def check_epw_planes(seed: int = DEFAULT_SEED, points_per_plane: int = 50) -> Tu
                 return False, f"plane condition at {name}: dim {dim} != 4"
         if not sigma_planes_disjoint(field):
             return False, "coordinate planes are not disjoint"
-        from .epw import decomposable_vector_check
-        if not decomposable_vector_check(data, rng, samples=50).passed():
-            return False, "sampled decomposable vector inside the subspace"
+        report = decomposable_vector_check(data, method="groebner")
+        if not report.certified_none:
+            return False, f"no decomposable vectors not certified: {report.detail}"
     return True, (f"{total} plane points pass membership; dims exactly 4; "
-                  f"planes disjoint; no sampled decomposable vectors")
+                  f"planes disjoint; Groebner-certified free of decomposable "
+                  f"vectors")
 
 
 def check_epw_line_degree(seed: int = DEFAULT_SEED, instances: int = 5,

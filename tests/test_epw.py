@@ -12,7 +12,7 @@ from galecubics.epw import (EPWPoint, LineCorrespondenceError,
                             residual_conic, rho_plane_condition,
                             sigma_plane_point, sigma_planes_disjoint,
                             sigma_prime_plane_point)
-from galecubics.exterior import (GRADE4_QUADS, ExteriorElement,
+from galecubics.exterior import (GRADE4_QUADS, ExteriorElement, frame_coordinates,
                                  from_frame_coordinates, orientation_pair)
 from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation
@@ -580,20 +580,113 @@ def test_double_line_case_returns_equal_lines():
     assert result.lines[0].same_subspace(result.lines[1])
 
 
-def test_decomposable_vector_sampling():
-    from galecubics.epw import decomposable_vector_check, random_decomposable
+def random_decomposable(field, rng):
+    """Frame coordinates of a random nonzero product of three vectors."""
+    while True:
+        vs = [ExteriorElement.vector(field, [field.random(rng) for _ in range(6)])
+              for _ in range(3)]
+        w = vs[0].wedge(vs[1]).wedge(vs[2])
+        if not w.is_zero():
+            return frame_coordinates(w)
+
+
+def planted_decomposable(data, rng):
+    """The subspace data with its first spanning column replaced by a
+    random decomposable vector."""
+    from galecubics.lagrangian import RhoLagrangianData
+    field = data.field
+    cols = ([random_decomposable(field, rng)]
+            + [data.matrix.column(j) for j in range(1, 10)])
+    return RhoLagrangianData(field, Matrix.from_columns(field, cols),
+                             data.a_e, data.a_f)
+
+
+def reference_decomposability_quadrics(data):
+    """``decomposability_quadrics`` as it was before the pull-back: the 270
+    grade-4 coefficients of (contraction of x by e_i* then e_j*) wedge x
+    built over the polynomial ring in ``a0..a9``, zeros dropped, the first
+    of each pair equal up to sign kept.  Test-only oracle."""
+    from galecubics.exterior import GRADE3_TRIPLES, lex3_coordinates
+    from galecubics.poly import MultiPoly, PolyRing
+    field = data.field
+    avars = epw.AVARS
+    ring = PolyRing(field, avars)
+    cols_lex = [lex3_coordinates(from_frame_coordinates(field, data.matrix.column(j)))
+                for j in range(10)]
+    terms = {}
+    for idx, triple in enumerate(GRADE3_TRIPLES):
+        form = MultiPoly.linear_form(field, avars, [cols_lex[j][idx] for j in range(10)])
+        if not form.is_zero():
+            terms[triple] = form
+    x = ExteriorElement(ring, 3, terms)
+    quadrics, seen = [], set()
+    for i in range(6):
+        for j in range(6):
+            if i == j:
+                continue
+            cov_i = [MultiPoly.constant(field, avars, field.one() if k == i else field.zero())
+                     for k in range(6)]
+            cov_j = [MultiPoly.constant(field, avars, field.one() if k == j else field.zero())
+                     for k in range(6)]
+            z = x.contract(cov_j).contract(cov_i).wedge(x)
+            for quad in GRADE4_QUADS:
+                q = z.terms.get(quad)
+                if q is None or q.is_zero():
+                    continue
+                key, neg = frozenset(q.terms.items()), frozenset((-q).terms.items())
+                if key in seen or neg in seen:
+                    continue
+                seen.add(key)
+                quadrics.append(q)
+    return quadrics
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), PrimeField(7), QQ],
+                         ids=lambda k: k.descriptor)
+def test_decomposability_quadrics_match_ring_construction(field):
+    from galecubics.epw import decomposability_quadrics
+    rng = random.Random(f"quadrics:{field.descriptor}")
+    cases = []
+    for choice in (1, 2):
+        eq = NonSyzygeticEquation.random(field, rng)
+        cases.append(lagrangian_from_gale(eq, choice)[0])
+    # the planted case: a decomposable vector among the spanning columns
+    cases.append(planted_decomposable(cases[0], rng))
+    for data in cases:
+        got = decomposability_quadrics(data)
+        assert got and got == reference_decomposability_quadrics(data)
+
+
+def test_decomposable_vector_groebner_certificate():
+    from galecubics.epw import decomposable_vector_check
     eq, data, rng = make_instance(18)
-    report = decomposable_vector_check(data, rng, samples=60)
-    assert report.passed()
-    assert not report.certified_none     # sampling is a necessary condition only
-    # the membership test itself sees a decomposable vector placed in a span
-    w = random_decomposable(FIELD, rng)
-    span = data.matrix.hstack(Matrix.from_columns(FIELD, [w]))
-    assert span.hstack(Matrix.from_columns(FIELD, [w])).rank() == span.rank()
+    report = decomposable_vector_check(data)
+    assert report.method == "groebner"
+    assert report.certified_none and report.passed()
+    # negative control: a planted decomposable vector leaves a cone that is
+    # not the origin alone, a definite answer over a prime field
+    planted = decomposable_vector_check(planted_decomposable(data, rng))
+    assert not planted.certified_none and planted.found_decomposable
+    assert not planted.passed()
+
+
+def test_decomposable_vector_groebner_certificate_over_rationals():
+    from galecubics.epw import decomposable_vector_check
+    rng = random.Random(18)
+    eq = NonSyzygeticEquation.random(QQ, rng)
+    data, _ = lagrangian_from_gale(eq, 1)
+    report = decomposable_vector_check(data)
+    assert report.certified_none and not report.found_decomposable
+    assert " mod 101" in report.detail
+    # a prime reduction that does not certify never claims a decomposable
+    # vector over the rationals
+    planted = decomposable_vector_check(planted_decomposable(data, rng))
+    assert not planted.certified_none and not planted.found_decomposable
+    assert planted.detail.startswith("inconclusive")
 
 
 def test_decomposable_quadrics_vanish_exactly_on_decomposables():
-    from galecubics.epw import decomposability_quadrics, random_decomposable
+    from galecubics.epw import decomposability_quadrics
     from galecubics.lagrangian import RhoLagrangianData
     eq, data, rng = make_instance(19)
     quadrics = decomposability_quadrics(data)
@@ -623,6 +716,21 @@ def test_decomposable_elimination_truncated_is_inconclusive():
     assert "inconclusive" in report.detail
 
 
+def random_sparse_columns(field, rng, labels):
+    """Sparse columns on four random labels each, some of them sums of
+    earlier ones."""
+    columns = []
+    for _ in range(rng.randint(1, 30)):
+        if columns and rng.random() < 0.3:
+            a, b = rng.choice(columns), rng.choice(columns)
+            col = {k: field.add(a.get(k, field.zero()), b.get(k, field.zero()))
+                   for k in set(a) | set(b)}
+        else:
+            col = {k: field.random(rng) for k in rng.sample(labels, 4)}
+        columns.append({k: v for k, v in col.items() if not field.is_zero(v)})
+    return columns
+
+
 def test_sparse_column_rank_matches_dense_rank():
     from galecubics.linalg import sparse_echelon
     from galecubics.poly import monomials_of_degree
@@ -630,22 +738,40 @@ def test_sparse_column_rank_matches_dense_rank():
     labels = monomials_of_degree(4, 3)
     for field in (PrimeField(2), FIELD):
         for trial in range(12):
-            ncols = rng.randint(1, 30)
-            # sparse columns, some of them sums of earlier ones
-            columns = []
-            for _ in range(ncols):
-                if columns and rng.random() < 0.3:
-                    a, b = rng.choice(columns), rng.choice(columns)
-                    col = {k: field.add(a.get(k, field.zero()), b.get(k, field.zero()))
-                           for k in set(a) | set(b)}
-                else:
-                    col = {k: field.random(rng) for k in rng.sample(labels, 4)}
-                columns.append({k: v for k, v in col.items() if not field.is_zero(v)})
+            columns = random_sparse_columns(field, rng, labels)
             dense = Matrix.from_columns(field, [[col.get(k, field.zero()) for k in labels]
                                                 for col in columns])
             assert len(sparse_echelon(field, columns)) == dense.rank()
             cap = rng.randint(1, 5)
             assert len(sparse_echelon(field, columns, cap)) == min(cap, dense.rank())
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_sparse_echelon_int_branch_matches_generic_loop(p):
+    from galecubics.linalg import _sparse_echelon_generic, sparse_echelon
+    from galecubics.poly import monomials_of_degree
+    field = PrimeField(p)
+    rng = random.Random(f"sparse:{p}")
+    labels = monomials_of_degree(4, 3)
+    pivoted = 0
+    for trial in range(16):
+        columns = random_sparse_columns(field, rng, labels)
+        # unreduced and negative entries, an all-zero column (empty, or
+        # with entries that are 0 mod p), a duplicated column
+        columns = [{k: v + p * rng.randint(-2, 2) if rng.random() < 0.5 else v - p
+                    for k, v in col.items()} for col in columns]
+        columns[0][labels[0]] = p + 3
+        columns.insert(rng.randrange(len(columns) + 1),
+                       {} if trial % 2 else {labels[1]: p, labels[2]: -2 * p})
+        columns.append(dict(rng.choice(columns)))
+        for cap in (None, 0, 1, rng.randint(2, 6)):
+            got = sparse_echelon(field, columns, cap)
+            expected = _sparse_echelon_generic(field, columns, cap)
+            # the same pivot labels, found in the same order, the same vectors
+            assert list(got) == list(expected)
+            assert got == expected
+        pivoted += len(got)
+    assert pivoted > 0
 
 
 # Reduced degrevlex basis of the 45 decomposability quadrics of
@@ -676,6 +802,8 @@ def test_decomposable_elimination_certifies_at_degree_five():
     eq, data, rng = make_instance(21)
     report = decomposable_vector_check(data, method="elimination", max_degree=5)
     assert report.certified_none
+    # the Groebner certificate, an independent route, agrees
+    assert decomposable_vector_check(data, method="groebner").certified_none
 
 
 def test_rational_nonsquare_discriminant_reported():

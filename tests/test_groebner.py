@@ -210,27 +210,28 @@ def reference_buchberger(gens):
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Wrap the module's ``s_polynomial`` and ``normal_form``; the returned
-    list logs, in order, each S-polynomial that gets reduced and whether it
-    went to zero."""
-    log = []
-    last = []
-    spoly, nf = groebner.s_polynomial, groebner.normal_form
-
-    def counted_spoly(f, g):
-        last[:] = [spoly(f, g)]
-        return last[0]
+    """Count the reductions of each engine: ``normal_form`` calls of the
+    reference pair loop, ``_reduce_packed`` calls of ``buchberger``, and
+    log whether each packed one went to zero.  Both counts include the
+    final inter-reduction, one call per element of the minimal basis when
+    there are two or more: the same number on both sides, because the
+    minimal generators of a leading ideal are unique."""
+    counts = {"reference": 0, "packed": 0, "log": []}
+    nf, reduce_packed = groebner.normal_form, groebner._reduce_packed
 
     def counted_nf(p, basis, table=None):
-        r = nf(p, basis, table)
-        if last and p is last[0]:
-            last.clear()
-            log.append((sorted(p.terms.items()), r.is_zero()))
+        counts["reference"] += 1
+        return nf(p, basis, table)
+
+    def counted_reduce(work, table, p):
+        counts["packed"] += 1
+        r = reduce_packed(work, table, p)
+        counts["log"].append(not r)
         return r
 
-    monkeypatch.setattr(groebner, "s_polynomial", counted_spoly)
     monkeypatch.setattr(groebner, "normal_form", counted_nf)
-    return log
+    monkeypatch.setattr(groebner, "_reduce_packed", counted_reduce)
+    return counts
 
 
 def terms_of(gb):
@@ -254,23 +255,24 @@ def random_system(n):
     return gens
 
 
+def assert_matches_reference(gens, reductions):
+    expected = reference_buchberger(gens)
+    got = buchberger(gens)
+    # the reduced basis is unique: the same terms, generators in the same order
+    assert terms_of(got) == terms_of(expected)
+    assert reductions["packed"] <= reductions["reference"]
+
+
 @pytest.mark.parametrize("n", range(40))
 def test_buchberger_matches_reference_pair_loop(reductions, n):
-    gens = random_system(n)
-    expected = reference_buchberger(gens)
-    expected_log = list(reductions)
-    reductions.clear()
-    got = buchberger(gens)
-    assert terms_of(got) == terms_of(expected)
-    # the same S-polynomials reduced in the same order, the same ones to zero
-    assert reductions == expected_log
+    assert_matches_reference(random_system(n), reductions)
 
 
 def test_differential_systems_exercise_every_branch(reductions):
     for n in range(40):
         buchberger(random_system(n))
-    zero = sum(1 for _, to_zero in reductions if to_zero)
-    assert zero > 0 and len(reductions) - zero > 0
+    log = reductions["log"]
+    assert any(log) and not all(log)
 
 
 # Reduced bases of the Jacobian ideals of the two A4 cubics at the standard
@@ -409,22 +411,58 @@ def test_packing_refuses_degrees_past_the_slot_limit():
 # into 3-bit slots (degrees up to 3), and an S-polynomial of degree 4 follows
 REPACK_SYSTEM = {(2, 0): 1, (1, 0): 6, (0, 2): 6}, {(2, 0): 4, (1, 1): 6}
 
+# three cubics over GF(7) with leads x0^3, x0^2*x1, x0*x1^2 (3-bit slots):
+# the generator pairs left by the update have lcms x0^3*x1 and x0^2*x1^2 of
+# degree 4, so the first pair popped repacks the table with the other one
+# still waiting in the heap
+REPACK_PENDING_SYSTEM = (
+    {(3, 0, 0): 1, (0, 2, 1): 3, (0, 0, 3): 5},
+    {(2, 1, 0): 2, (1, 0, 2): 1, (0, 3, 0): 4},
+    {(1, 2, 0): 1, (2, 0, 1): 6, (0, 1, 2): 2},
+)
+
+
+def spy_on_repacks(monkeypatch):
+    """Record the slot width of every packed reduction, and the number of
+    pair-heap entries still waiting at every repack."""
+    seen = {"widths": [], "pending": [], "heap": 0}
+    reduce_packed, heappop = groebner._reduce_packed, groebner.heappop
+    widened = groebner._ReducerTable.widened
+
+    def width_reduce(work, table, p):
+        seen["widths"].append(table.bits)
+        return reduce_packed(work, table, p)
+
+    def pair_pop(heap):
+        item = heappop(heap)
+        if isinstance(item, tuple):    # the pair heap, not a term heap
+            seen["heap"] = len(heap)
+        return item
+
+    def spy_widened(table, degree):
+        seen["pending"].append(seen["heap"])
+        return widened(table, degree)
+
+    monkeypatch.setattr(groebner, "_reduce_packed", width_reduce)
+    monkeypatch.setattr(groebner, "heappop", pair_pop)
+    monkeypatch.setattr(groebner._ReducerTable, "widened", spy_widened)
+    return seen
+
 
 def test_buchberger_repacks_wider_slots(reductions, monkeypatch):
     field = PrimeField(7)
     gens = [MultiPoly(field, ("x0", "x1"), terms) for terms in REPACK_SYSTEM]
-    expected = reference_buchberger(gens)
-    expected_log = list(reductions)
-    reductions.clear()
-    widths = []
-    counted_nf = groebner.normal_form
+    seen = spy_on_repacks(monkeypatch)
+    assert_matches_reference(gens, reductions)
+    assert seen["widths"][0] == 3 and max(seen["widths"]) > 3
 
-    def width_nf(p, basis, table=None):
-        widths.append(table.bits)
-        return counted_nf(p, basis, table)
 
-    monkeypatch.setattr(groebner, "normal_form", width_nf)
-    got = buchberger(gens)
-    assert widths[0] == 3 and max(widths) > 3
-    assert terms_of(got) == terms_of(expected)
-    assert reductions == expected_log
+def test_buchberger_repacks_with_pairs_in_the_heap(reductions, monkeypatch):
+    field = PrimeField(7)
+    gens = [MultiPoly(field, ("x0", "x1", "x2"), terms)
+            for terms in REPACK_PENDING_SYSTEM]
+    seen = spy_on_repacks(monkeypatch)
+    assert_matches_reference(gens, reductions)
+    assert seen["pending"] and seen["pending"][0] > 0
+    # the repack came before the first reduction, which ran in wider slots
+    assert seen["widths"][0] > 3
