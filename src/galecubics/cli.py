@@ -16,6 +16,8 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
+
 from . import serialize
 from .epw import (EPWPoint, ProjectiveSubspace, epw_contains, epw_line_degree,
                   harvest_epw_points, line_to_epw, epw_to_lines, residual_conic)
@@ -345,6 +347,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: (group, subcommand); each is served by ``cmd_<group>_<subcommand>``, with
+#: dashes as underscores, looked up when it runs
+COMMANDS = (
+    ("gale", "dual"), ("gale", "validate"),
+    ("lagrangian", "from-gale"), ("lagrangian", "check"),
+    ("invariants", "selftest"),
+    ("epw", "contains"), ("epw", "line-degree"), ("epw", "conic"),
+    ("epw", "harvest"),
+    ("fano", "to-epw"), ("fano", "from-epw"), ("fano", "roundtrip"),
+    ("gm", "membership"),
+    ("lattice", "count"), ("lattice", "orbits"),
+    ("smooth", "check"),
+    ("a4", "emit"), ("a4", "verify"),
+    ("selftest", "all"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", help="instance file (default stdin)")
@@ -365,46 +384,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galecubics",
         description="Exact computations for Gale dual cubic fourfolds")
     sub = parser.add_subparsers(dest="command")
-    table = {
-        ("gale", "dual"): cmd_gale_dual,
-        ("gale", "validate"): cmd_gale_validate,
-        ("lagrangian", "from-gale"): cmd_lagrangian_from_gale,
-        ("lagrangian", "check"): cmd_lagrangian_check,
-        ("invariants", "selftest"): cmd_invariants_selftest,
-        ("epw", "contains"): cmd_epw_contains,
-        ("epw", "line-degree"): cmd_epw_line_degree,
-        ("epw", "conic"): cmd_epw_conic,
-        ("epw", "harvest"): cmd_epw_harvest,
-        ("fano", "to-epw"): cmd_fano_to_epw,
-        ("fano", "from-epw"): cmd_fano_from_epw,
-        ("fano", "roundtrip"): cmd_fano_roundtrip,
-        ("gm", "membership"): cmd_gm_membership,
-        ("lattice", "count"): cmd_lattice_count,
-        ("lattice", "orbits"): cmd_lattice_orbits,
-        ("smooth", "check"): cmd_smooth_check,
-        ("a4", "emit"): cmd_a4_emit,
-        ("a4", "verify"): cmd_a4_verify,
-        ("selftest", "all"): cmd_selftest_all,
-    }
     groups = {}
-    for (group, name), fn in table.items():
+    for group, name in COMMANDS:
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest=f"{group}_sub")
         sp = groups[group].add_parser(name, parents=[common])
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=f"cmd_{group}_{name.replace('-', '_')}")
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handler = getattr(args, "handler", None)
     if handler is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return handler(args)
+        return globals()[handler](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

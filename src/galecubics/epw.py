@@ -5,21 +5,23 @@ scale) cuts out a hyperplane; the degeneracy condition is that an
 admissible subspace meets the third wedge power of that hyperplane.  The
 rank formulation used throughout: contraction with the covector kills
 exactly that wedge power, so membership at one point is a kernel
-computation on a 15 x 10 matrix.  That matrix is linear in the covector,
-so along a pencil its values at the two base points give it everywhere,
-and the monic gcd of its size-10 minors (the determinant divisor, of
-degree 6) vanishes exactly at the membership points of the pencil.  When
-the matrix at the second point has full rank, constant row and column
-operations bring the pencil to the form [tI + A1 | A2], and the divisor is
-the characteristic polynomial of a matrix of size at most 10: one rref
-gives both the degree and the points.  Otherwise a unimodular elimination
-over k[t] computes it.
+computation on a 15 x 10 matrix, a fixed sign pattern applied to the
+subspace's frame coordinates.  That matrix is linear in the covector, so
+along a pencil its values at the two base points give it everywhere, and
+the monic gcd of its size-10 minors (the determinant divisor, of degree 6)
+vanishes exactly at the membership points of the pencil.  When the matrix
+at the second point has full rank, constant row and column operations
+bring the pencil to the form [tI + A1 | A2], and the divisor is the
+characteristic polynomial of a matrix of size at most 10: one rref gives
+both the degree and the points.  Otherwise a unimodular elimination over
+k[t] computes it.
 
 On the cubic side, a point ``(e, f)`` with nonzero ``e`` spans a plane
 ``Mf + e L_i = 0`` containing the line ``Mf = L_i = 0``; the conic residual
 to that line in the plane section of the cubic degenerates exactly over
 membership points, and splitting it into its two lines inverts, pointwise,
 the correspondence between the degeneracy locus and lines on the cubic.
+The cubic is pulled back onto the plane in one substitution.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .exterior import (GRADE2_PAIRS, GRADE3_TRIPLES, GRADE4_QUADS,
+from .exterior import (CONTRACTION_ROWS, GRADE3_TRIPLES, GRADE4_QUADS,
                        ExteriorElement, frame_coordinates,
                        from_frame_coordinates, lex3_coordinates)
 from .fields import Element, Field, PrimeField, RationalField, is_prime
@@ -126,16 +128,31 @@ class ProjectiveSubspace:
 # -- membership ---------------------------------------------------------------
 
 def contraction_matrix(data: RhoLagrangianData, covector: Sequence[Element]) -> Matrix:
-    """15 x 10 matrix of the contraction restricted to the subspace, over
-    the grade-2 wedge basis; its kernel is the intersection with the third
-    wedge power of the covector's hyperplane."""
+    """15 x 10 matrix of the contraction with the covector restricted to
+    the subspace, rows indexed by the grade-2 pairs; its kernel is the
+    intersection with the third wedge power of the covector's hyperplane.
+    Row r is the sum of ``sign * c_k`` times row a of ``data.matrix`` over
+    the entries ``(a, k, sign)`` of ``CONTRACTION_ROWS[r]``."""
     field = data.field
-    cols = []
-    for j in range(data.matrix.cols):
-        elem = from_frame_coordinates(field, data.matrix.column(j))
-        contracted = elem.contract(list(covector))
-        cols.append(contracted.coordinates(GRADE2_PAIRS))
-    return Matrix.from_columns(field, cols)
+    src = data.matrix.data
+    if isinstance(field, PrimeField):
+        p = field.p
+        out = []
+        for (a0, k0, s0), (a1, k1, s1), (a2, k2, s2), (a3, k3, s3) in CONTRACTION_ROWS:
+            c0, c1, c2, c3 = (s0 * covector[k0], s1 * covector[k1],
+                              s2 * covector[k2], s3 * covector[k3])
+            out.append([(c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3) % p
+                        for x0, x1, x2, x3 in zip(src[a0], src[a1], src[a2], src[a3])])
+        return Matrix(field, out)
+    add, mul, zero = field.add, field.mul, field.zero()
+    out = []
+    for terms in CONTRACTION_ROWS:
+        acc = [zero] * data.matrix.cols
+        for a, k, sign in terms:
+            c = covector[k] if sign > 0 else field.neg(covector[k])
+            acc = [add(x, mul(c, y)) for x, y in zip(acc, src[a])]
+        out.append(acc)
+    return Matrix(field, out)
 
 
 def epw_contains(data: RhoLagrangianData, p: EPWPoint) -> Tuple[bool, int]:
@@ -291,12 +308,13 @@ def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     if not isinstance(field, PrimeField):
         raise ValueError("scanning requires a prime field")
     divisor = _determinant_divisor_on_pencil(data, p0, p1)[::-1]
+    p = field.p
     out = []
     for t in field.elements():
-        value = field.zero()
+        value = 0
         for c in divisor:
-            value = field.add(field.mul(value, t), c)
-        if field.is_zero(value):
+            value = (value * t + c) % p
+        if not value:
             out.append((t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
                                                  for a, b in zip(p0.coords, p1.coords)])))
     if epw_contains(data, p1)[0]:
@@ -448,7 +466,7 @@ def residual_conic(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> ResidualCon
                          "dimension")
     plus = fano_tuple(eq, i)
     n = pg.pi.parametrization()          # 6 x 3
-    restricted = plus.cubic_polynomial().linear_substitution(n, PLANE_VARIABLES)
+    restricted = plus.cubic_polynomial(n, PLANE_VARIABLES)
     ell = plus.l_forms[i - 1].linear_substitution(n, PLANE_VARIABLES)
     if ell.is_zero():
         raise ValueError("L_i vanishes on the plane")
@@ -592,11 +610,10 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
     if pts.cols != 2:
         raise LineCorrespondenceError("input subspace is not a line")
     p0, p1 = pts.column(0), pts.column(1)
-    cubic = plus.cubic_polynomial()
     for s, t in ((1, 0), (0, 1), (1, 1), (1, 2)):
         pt = [field.add(field.mul(field.from_int(s), a),
                         field.mul(field.from_int(t), b)) for a, b in zip(p0, p1)]
-        if not field.is_zero(cubic.evaluate(pt)):
+        if not field.is_zero(plus.cubic_value(pt)):
             raise LineCorrespondenceError("line is not contained in the cubic")
     l_i = plus.l_forms[i - 1]
     v0 = l_i.evaluate(p0)

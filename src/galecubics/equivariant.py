@@ -104,7 +104,7 @@ def observed_cubic_scalar(eq: NonSyzygeticEquation, d10: Matrix,
     """Scalar c with F(D X) = c F(X) for the cubic of a six-variable tuple
     embedded in the ten projected coordinates; None when not proportional.
     F(D X) substitutes each variable by the corresponding row of D^t."""
-    embedded = eq.cubic_polynomial().linear_substitution(
+    embedded = eq.cubic_polynomial(
         coordinate_embedding(eq.field, eq.variables), PROJECTED_VARIABLES)
     moved = embedded.linear_substitution(d10.transpose(), PROJECTED_VARIABLES)
     return scalar_multiple(moved, embedded)

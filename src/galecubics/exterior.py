@@ -260,6 +260,23 @@ def _hat_support() -> List[Tuple[IndexTuple, int]]:
 FRAME_SUPPORT: List[Tuple[IndexTuple, int]] = _hat_support()
 
 
+def _contraction_rows() -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    # frame coordinate a sits on the triple t with sign s, and contracting
+    # by the covector index t[pos] leaves t without it, with sign (-1)^pos s
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in GRADE2_PAIRS]
+    row_of = {pair: r for r, pair in enumerate(GRADE2_PAIRS)}
+    for a, (t, s) in enumerate(FRAME_SUPPORT):
+        for pos, idx in enumerate(t):
+            rows[row_of[t[:pos] + t[pos + 1:]]].append((a, idx, -s if pos % 2 else s))
+    return tuple(map(tuple, rows))
+
+
+#: Contraction of grade 3 by a covector as a fixed sign pattern: for each
+#: grade-2 pair (row), the four ``(frame coordinate, covector index, sign)``
+#: whose contraction lands on it, 60 in all.
+CONTRACTION_ROWS = _contraction_rows()
+
+
 def frame_covector(field: Field, k: int) -> ExteriorElement:
     """The k-th frame functional (0-based) as a grade-3 element."""
     t, sgn = FRAME_SUPPORT[k]

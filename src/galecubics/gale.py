@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .fields import Element, Field
-from .linalg import Matrix, sparse_echelon
+from .linalg import Matrix, det_cofactor, sparse_echelon
 from .poly import DET3_TERMS, MultiPoly, cubic_from_terms, monomials_of_degree
 
 DEFAULT_VARIABLES = ("X0", "X1", "X2", "X3", "X4", "X5")
@@ -107,11 +107,27 @@ class NonSyzygeticEquation:
         """At least two of L1, L2, L3 linearly independent (diagnostic)."""
         return self.coeffs.submatrix(range(9, 12), range(6)).rank() >= 2
 
-    def cubic_polynomial(self) -> MultiPoly:
-        """det M + sign*L1*L2*L3, the pull-back of det(u0..u8) + sign*u9*u10*u11."""
+    def cubic_polynomial(self, a: Optional[Matrix] = None,
+                         variables: Optional[Sequence[str]] = None) -> MultiPoly:
+        """det M + sign*L1*L2*L3, the pull-back of det(u0..u8) + sign*u9*u10*u11
+        along the coefficient rows.  With a 6 x m matrix ``a`` and m target
+        ``variables``, the cubic restricted along x = a*y instead: one
+        pull-back along ``coeffs * a``, equal to
+        ``cubic_polynomial().linear_substitution(a, variables)``."""
         universal = cubic_from_terms(self.field, 12,
                                      DET3_TERMS + ((self.sign, 9, 10, 11),))
-        return universal.linear_substitution(self.coeffs, self.variables)
+        if a is None:
+            return universal.linear_substitution(self.coeffs, self.variables)
+        return universal.linear_substitution(self.coeffs * a, variables)
+
+    def cubic_value(self, point: Sequence[Element]) -> Element:
+        """The cubic at a point, through the values of the twelve forms:
+        det M(x) + sign*L1(x)*L2(x)*L3(x)."""
+        k = self.field
+        v = self.coeffs.apply_to_vector(point)
+        prod = k.mul(k.mul(v[9], v[10]), v[11])
+        det = det_cofactor(k, [v[0:3], v[3:6], v[6:9]])
+        return k.add(det, prod) if self.sign == 1 else k.sub(det, prod)
 
     def plus_normalized(self, i: int = 1) -> "NonSyzygeticEquation":
         """Equivalent tuple with sign +1 (folds a minus sign into L_i)."""

@@ -209,10 +209,10 @@ def project_cubics(data: RhoLagrangianData,
     # comparison with the raw restriction.
     swap = list(range(10))
     swap[8], swap[9] = 9, 8
-    expected_e = eq_plus.cubic_polynomial().linear_substitution(
+    expected_e = eq_plus.cubic_polynomial(
         coordinate_embedding(field, vars_e), PROJECTED_VARIABLES
     ).permute_variables(swap)
-    expected_f = eq_minus.cubic_polynomial().linear_substitution(
+    expected_f = eq_minus.cubic_polynomial(
         coordinate_embedding(field, vars_f), PROJECTED_VARIABLES)
     report = ProjectionReport(
         cone_e_ok, cone_f_ok,

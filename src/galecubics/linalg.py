@@ -17,7 +17,13 @@ and divides once per entry.  The reduced row echelon form of a matrix is
 unique, so the integer path returns exactly the matrix and pivots of the
 generic one (``_rref_generic``, ``_mul_generic``, kept as differential
 oracles), and every kernel, canonical basis and serialised output built
-on it is unchanged.  Every other field uses the generic path.
+on it is unchanged.  Over a prime field, ``rref`` and ``*`` run on plain
+``int`` rows instead of ``Field`` calls: ``rref`` reduces each entry into
+[0, p) on entry, takes the pivot inverse by ``pow`` and makes one ``% p``
+per update, and ``*`` takes one ``% p`` per dot product.  On reduced input
+both return exactly what the generic path returns (on unreduced input
+``rref`` agrees with it mod p, every entry in [0, p)).  The cube-root
+extensions use the generic path.
 
 ``rank`` needs only the pivot count, so outside the rationals it runs
 forward elimination alone (eliminate below each pivot; no normalising, no
@@ -86,7 +92,8 @@ class Matrix:
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: random.Random) -> "Matrix":
-        return cls(field, [[field.random(rng) for _ in range(cols)] for _ in range(rows)])
+        return cls(field, [[field.random(rng) for _ in range(cols)] for _ in range(rows)],
+                   cols)
 
     # -- basics --------------------------------------------------------
 
@@ -165,6 +172,8 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         if isinstance(self.field, RationalField):
             return self._mul_rational(other)
+        if isinstance(self.field, PrimeField):
+            return self._mul_mod(other)
         return self._mul_generic(other)
 
     def _mul_generic(self, other: "Matrix") -> "Matrix":
@@ -192,6 +201,12 @@ class Matrix:
                         for b, db in right])
         return Matrix(self.field, out, other.cols)
 
+    def _mul_mod(self, other: "Matrix") -> "Matrix":
+        p = self.field.p
+        cols = other.columns()
+        return Matrix(self.field, [[sum(map(mul, row, col)) % p for col in cols]
+                                   for row in self.data], other.cols)
+
     def apply_to_vector(self, v: Sequence[Element]) -> List[Element]:
         k = self.field
         out = []
@@ -208,6 +223,8 @@ class Matrix:
         """Reduced row echelon form and the list of pivot columns."""
         if isinstance(self.field, RationalField):
             return self._rref_rational()
+        if isinstance(self.field, PrimeField):
+            return self._rref_mod()
         return self._rref_generic()
 
     def _rref_generic(self) -> tuple["Matrix", List[int]]:
@@ -234,7 +251,7 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return Matrix(k, m), pivots
+        return Matrix(k, m, self.cols), pivots
 
     def _rref_rational(self) -> tuple["Matrix", List[int]]:
         m = [_integer_row(row)[0] for row in self.data]
@@ -267,7 +284,32 @@ class Matrix:
                 out.append([Fraction(x, p) if x else zero for x in row])
             else:
                 out.append([zero] * self.cols)
-        return Matrix(self.field, out), pivots
+        return Matrix(self.field, out, self.cols), pivots
+
+    def _rref_mod(self) -> tuple["Matrix", List[int]]:
+        p = self.field.p
+        m = [[x % p for x in row] for row in self.data]
+        pivots: List[int] = []
+        r = 0
+        for c in range(self.cols):
+            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if pivot_row is None:
+                continue
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            inv = pow(m[r][c], p - 2, p)
+            # the entries left of c are zero in every row from r on
+            prow = m[r] = m[r][:c] + [inv * x % p for x in m[r][c:]]
+            tail = prow[c:]
+            for i in range(self.rows):
+                row = m[i]
+                f = row[c]
+                if i != r and f:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            pivots.append(c)
+            r += 1
+            if r == self.rows:
+                break
+        return Matrix(self.field, m, self.cols), pivots
 
     def rank(self) -> int:
         """Number of pivots: forward elimination only (no pivot scaling, no

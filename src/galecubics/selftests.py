@@ -123,10 +123,8 @@ def check_projection_roundtrip(seed: int = DEFAULT_SEED,
             return False, f"cone/restriction check failed (sample {n})"
         ginv = pres.g.inverse()
         hinv = pres.h.inverse()
-        plus_back = eq_plus.cubic_polynomial().linear_substitution(
-            ginv, pres.normalized_eq.variables)
-        minus_back = eq_minus.cubic_polynomial().linear_substitution(
-            hinv, pres.normalized_dual.variables)
+        plus_back = eq_plus.cubic_polynomial(ginv, pres.normalized_eq.variables)
+        minus_back = eq_minus.cubic_polynomial(hinv, pres.normalized_dual.variables)
         plus_original = eq if eq.sign == 1 else gale_dual(eq)
         minus_original = gale_dual(eq) if eq.sign == 1 else eq
         if scalar_multiple(plus_back, plus_original.cubic_polynomial()) is None:

@@ -12,9 +12,10 @@ from galecubics.epw import (EPWPoint, LineCorrespondenceError,
                             residual_conic, rho_plane_condition,
                             sigma_plane_point, sigma_planes_disjoint,
                             sigma_prime_plane_point)
-from galecubics.exterior import (GRADE4_QUADS, ExteriorElement, frame_coordinates,
+from galecubics.exterior import (CONTRACTION_ROWS, GRADE2_PAIRS, GRADE4_QUADS,
+                                 ExteriorElement, frame_coordinates,
                                  from_frame_coordinates, orientation_pair)
-from galecubics.fields import QQ, PrimeField
+from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.gale import NonSyzygeticEquation
 from galecubics.lagrangian import lagrangian_from_gale
 from galecubics.linalg import Matrix
@@ -563,21 +564,55 @@ def test_line_to_epw_error_reporting():
 
 
 def test_double_line_case_returns_equal_lines():
-    # a rank-one conic comes back as a doubled line; construct by brute
-    # search over membership points
-    eq, data, rng = make_instance(15)
-    found = None
-    points = harvest_epw_points(eq, 1, data, rng, 40, max_lines=800)
-    for hp in points:
-        conic = residual_conic(eq, 1, hp.point)
-        if conic.rank() == 1:
-            found = hp.point
-            break
-    if found is None:
-        pytest.skip("no rank-one conic in this sample")
-    result = epw_to_lines(eq, 1, found)
+    # a pinned witness over GF(7): a membership point of nullity two whose
+    # residual conic has rank one, so it comes back as a doubled line
+    gf7 = PrimeField(7)
+    eq = NonSyzygeticEquation.random(gf7, random.Random(1))
+    assert eq.sign == 1
+    data = lagrangian_from_gale(eq, 1)[0]
+    point = EPWPoint.make(gf7, [1, 0, 0, 5, 0, 0])
+    assert conic_covector(eq, point) is point
+    assert epw_contains(data, point) == (True, 2)
+    assert pi_gamma(eq, 1, point).generic()
+    conic = residual_conic(eq, 1, point)
+    assert conic.rank() == 1
+    result = epw_to_lines(eq, 1, point)
     assert result.lines is not None
     assert result.lines[0].same_subspace(result.lines[1])
+    assert result.discriminant == 0
+    assert line_to_epw(eq, 1, result.lines[0]).same_point(point)
+
+
+def reference_contraction_matrix(data, covector):
+    """``contraction_matrix`` as it was before the sign pattern: each
+    spanning column read back into the exterior algebra, contracted with
+    the covector and read off in the grade-2 wedge basis."""
+    field = data.field
+    cols = []
+    for j in range(data.matrix.cols):
+        elem = from_frame_coordinates(field, data.matrix.column(j))
+        cols.append(elem.contract(list(covector)).coordinates(GRADE2_PAIRS))
+    return Matrix.from_columns(field, cols)
+
+
+@pytest.mark.parametrize("field", [FIELD, QQ, cyclotomic3(QQ)],
+                         ids=lambda k: k.descriptor)
+def test_contraction_sign_pattern_matches_exterior_contraction(field):
+    from galecubics.lagrangian import RhoLagrangianData
+    rng = random.Random(f"contract:{field.descriptor}")
+    subspaces = [Matrix.random(field, 20, 10, rng) for _ in range(2)]
+    subspaces.append(lagrangian_from_gale(
+        NonSyzygeticEquation.random(field, rng), 1)[0].matrix)
+    for matrix in subspaces:
+        data = RhoLagrangianData(field, matrix, None, None)
+        for n in range(6):
+            covector = [field.random(rng) for _ in range(6)]
+            for k in rng.sample(range(6), n):
+                covector[k] = field.zero()
+            fast = contraction_matrix(data, covector)
+            assert fast == reference_contraction_matrix(data, covector)
+            assert (fast.rows, fast.cols) == (15, 10)
+    assert sum(map(len, CONTRACTION_ROWS)) == 60
 
 
 def random_decomposable(field, rng):

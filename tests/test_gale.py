@@ -89,6 +89,38 @@ def test_cubic_polynomial_matches_cofactor_formula(field):
             assert eq.cubic_polynomial() == reference_cubic(eq)
 
 
+@pytest.mark.parametrize("field", CUBIC_FIELDS, ids=lambda f: f.descriptor)
+def test_restricted_cubic_matches_substituted_cubic(field):
+    # the pull-back along coeffs * a against the 6-variable cubic
+    # substituted afterwards, on both signs
+    rng = random.Random(37)
+    for rows in ([[field.random(rng) for _ in range(6)] for _ in range(12)],
+                 diagonal_rows(field)):
+        for sign in (1, -1):
+            eq = NonSyzygeticEquation.from_coefficients(field, rows, sign)
+            for m in (3, 1, 6):
+                a = Matrix.random(field, 6, m, rng)
+                names = [f"s{j}" for j in range(m)]
+                restricted = eq.cubic_polynomial(a, names)
+                assert restricted == eq.cubic_polynomial().linear_substitution(a, names)
+                assert restricted.variables == tuple(names)
+
+
+@pytest.mark.parametrize("field", CUBIC_FIELDS, ids=lambda f: f.descriptor)
+def test_cubic_value_matches_evaluation(field):
+    # det M(x) + sign * L1 L2 L3(x) through the twelve forms, against the
+    # expanded cubic evaluated at the point
+    rng = random.Random(41)
+    rows = [[field.random(rng) for _ in range(6)] for _ in range(12)]
+    for sign in (1, -1):
+        eq = NonSyzygeticEquation.from_coefficients(field, rows, sign)
+        cubic = eq.cubic_polynomial()
+        for _ in range(6):
+            pt = [field.random(rng) for _ in range(6)]
+            assert eq.cubic_value(pt) == cubic.evaluate(pt)
+        assert eq.cubic_value([field.zero()] * 6) == field.zero()
+
+
 def test_gale_dual_rejects_degenerate():
     field = QQ
     m0 = diagonal_rows(field)[:3]

@@ -410,3 +410,71 @@ def test_empty_dimensions_survive():
     assert len({Matrix.zero(k, 0, 3), Matrix.zero(k, 0, 2), Matrix.zero(k, 0, 3)}) == 2
     from galecubics.serialize import matrix_to_json
     assert matrix_to_json(empty) == [] == matrix_to_json(Matrix.zero(k, 0, 2))
+
+
+# -- the int path over GF(p) against the generic Gauss-Jordan oracle ------------
+#
+# The int branch reduces every entry into [0, p) on entry.  On reduced input
+# it returns exactly the generic result; on negative or unreduced input the
+# generic loop leaves the entries it never touches as they came, so the two
+# agree mod p, and the int branch's entries all lie in [0, p).
+
+MOD_SHAPES = [(10, 30), (15, 10), (10, 15), (6, 12), (3, 3), (0, 4)]
+
+
+def _mod_cases(k, rows, cols, rng):
+    """A zero matrix, a random one and products of rank 0 up to below
+    min(rows, cols), over GF(p) with entries in [0, p)."""
+    cases = [Matrix.zero(k, rows, cols), Matrix.random(k, rows, cols, rng)]
+    for r in range(min(rows, cols)):
+        left = Matrix.random(k, rows, r, rng)
+        right = Matrix.random(k, r, cols, rng)
+        cases.append(left._mul_generic(right) if r else Matrix.zero(k, rows, cols))
+    return cases
+
+
+def _unreduced(m, rng):
+    p = m.field.p
+    return Matrix(m.field, [[x + p * rng.randint(-3, 3) for x in row]
+                            for row in m.data], m.cols)
+
+
+@pytest.mark.parametrize("shape", MOD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_mod_rref_matches_generic(p, shape):
+    k = PrimeField(p)
+    rng = random.Random(f"rref:{p}:{shape}")
+    for m in _mod_cases(k, *shape, rng):
+        fast, fast_pivots = m.rref()
+        slow, slow_pivots = m._rref_generic()
+        assert fast_pivots == slow_pivots
+        assert fast == slow
+        assert len(fast_pivots) == m.rank()
+        raw = _unreduced(m, rng)
+        fast, fast_pivots = raw.rref()
+        slow, slow_pivots = raw._rref_generic()
+        assert fast_pivots == slow_pivots
+        assert all(type(x) is int and 0 <= x < p for row in fast.data for x in row)
+        assert fast.data == [[x % p for x in row] for row in slow.data]
+
+
+@pytest.mark.parametrize("shape", MOD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_mod_product_matches_generic(p, shape):
+    k = PrimeField(p)
+    rng = random.Random(f"mul:{p}:{shape}")
+    rows, inner = shape
+    for cols in (inner, 1, 6, 0):
+        rights = _mod_cases(k, inner, cols, rng)
+        for a, b in zip(_mod_cases(k, rows, inner, rng), rights):
+            for left, right in ((a, b), (_unreduced(a, rng), _unreduced(b, rng))):
+                fast, slow = left * right, left._mul_generic(right)
+                assert (fast.rows, fast.cols) == (slow.rows, slow.cols) == (rows, cols)
+                assert fast.data == slow.data
+
+
+@pytest.mark.parametrize("k", [QQ, PrimeField(101), cyclotomic3(PrimeField(5))],
+                         ids=lambda k: k.descriptor)
+def test_rref_of_zero_rows_keeps_its_columns(k):
+    red, pivots = Matrix.random(k, 0, 4, random.Random(0)).rref()
+    assert (red.rows, red.cols, pivots) == (0, 4, [])
