@@ -31,7 +31,7 @@ from .lagrangian import (QPPresentation, RhoLagrangianData, _hats_from_blocks,
                          validate)
 from .linalg import Matrix, same_column_span
 from .poly import scalar_multiple
-from .invariants import PROJECTED_VARIABLES, coordinate_embedding
+from .invariants import PROJECTED_VARIABLES, block_diagonal6, coordinate_embedding
 
 
 def is_block_diagonal(field: Field, g6: Matrix) -> bool:
@@ -46,7 +46,7 @@ def is_block_diagonal(field: Field, g6: Matrix) -> bool:
 
 def induced_lambda3(field: Field, g6: Matrix) -> Matrix:
     """Frame-coordinate matrix of the grade-3 action of a block-diagonal
-    6x6 matrix, computed as wedges of the images of the basis vectors."""
+    6x6 matrix: its third compound matrix."""
     if g6.rows != 6 or g6.cols != 6:
         raise ValueError("need a 6x6 matrix")
     if not is_block_diagonal(field, g6):
@@ -263,13 +263,8 @@ def a4_family(params: A4FamilyParams) -> A4Family:
 
     gens6 = []
     for g in V_GENERATORS:
-        z = k.zero()
-        rows = [[z] * 6 for _ in range(6)]
-        for i in range(3):
-            for j in range(3):
-                rows[i][j] = k.from_int(g[i][j])
-                rows[3 + i][3 + j] = k.from_int(g[i][j])
-        gens6.append(Matrix(k, rows))
+        gk = [[k.from_int(x) for x in row] for row in g]
+        gens6.append(Matrix(k, block_diagonal6(k, gk, gk)))
     displayed = a4_action_matrices(params)
     action = GroupActionData.from_generators(k, gens6, displayed)
 

@@ -26,10 +26,13 @@ plain wedge of the six basis vectors.
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Element, Field
+from .fields import Element, Field, PrimeField, RationalField
+from .linalg import Matrix, _integer_row
 
 DIM = 6
 BASIS_NAMES = ("e1", "e2", "e3", "f1", "f2", "f3")
@@ -83,10 +86,6 @@ class ExteriorElement:
                 if not field.is_zero(c):
                     clean[tuple(t)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, field: Field, grade: int) -> "ExteriorElement":
-        return cls(field, grade)
 
     @classmethod
     def basis(cls, field: Field, indices: Sequence[int],
@@ -205,13 +204,6 @@ class ExteriorElement:
         return " + ".join(bits)
 
 
-def wedge_all(elements: Sequence[ExteriorElement]) -> ExteriorElement:
-    out = elements[0]
-    for x in elements[1:]:
-        out = out.wedge(x)
-    return out
-
-
 def orientation_pair(x: ExteriorElement, y: ExteriorElement) -> Element:
     """Wedge pairing of two grade-3 elements against the orientation
     ``L_E ^ L_F``: the scalar c with x^y = c * (L_E ^ L_F).
@@ -277,6 +269,64 @@ def _contraction_rows() -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
 CONTRACTION_ROWS = _contraction_rows()
 
 
+def _laplace_hits(smaller: Sequence[IndexTuple],
+                  coord_of: Dict[IndexTuple, Tuple[int, int]]):
+    """Where g[r][c] times the minor on (rows, P) lands in a Laplace
+    expansion along a first row r: per column c and column set P in
+    ``smaller``, the coordinate of J = P + c in ``coord_of`` and its sign
+    there times (-1)^(position of c in J); None when c is in P."""
+    def hit(c: int, p: IndexTuple) -> Tuple[int, int]:
+        t = tuple(sorted(p + (c,)))
+        b, s = coord_of[t]
+        return b, -s if t.index(c) % 2 else s
+
+    return tuple(tuple(None if c in p else hit(c, p) for p in smaller)
+                 for c in range(DIM))
+
+
+#: 2x2 minors from entries, on the column pairs in GRADE2_PAIRS order
+_PAIR_HITS = _laplace_hits([(c,) for c in range(DIM)],
+                           {p: (k, 1) for k, p in enumerate(GRADE2_PAIRS)})
+#: The third compound matrix per coordinate system: for each row coordinate
+#: ``(first index, pair index of the other two, sign)``, and the hits of
+#: 3x3 minors from 2x2 ones.
+COMPOUND_TABLES = {
+    coords: (tuple((t[0], GRADE2_PAIRS.index(t[1:]), s) for t, s in support),
+             _laplace_hits(GRADE2_PAIRS, {t: (b, s) for b, (t, s) in enumerate(support)}))
+    for coords, support in (("lex3", [(t, 1) for t in GRADE3_TRIPLES]),
+                            ("frame", FRAME_SUPPORT))}
+
+
+def _compound3(g, coords: str, add=operator.add, sub=operator.sub,
+               mul=operator.mul, is_zero=operator.not_, zero=0) -> List[List[Element]]:
+    """The 20x20 grade-3 minors of the 6x6 ``g`` in ``coords``, with the
+    given ring operations (by default those of plain ints).  Only nonzero
+    entries and minors are multiplied, so a block-diagonal g pays for its
+    four diagonal blocks only."""
+    def laplace(row, minors, hits, plus=add, minus=sub):
+        out: Dict[int, Element] = {}
+        for c, x in row:
+            for q, v in minors:
+                if (hit := hits[c][q]) is not None:
+                    j, sign = hit
+                    out[j] = (plus if sign > 0 else minus)(out.get(j, zero), mul(x, v))
+        return [(j, v) for j, v in out.items() if not is_zero(v)]
+
+    rows, hits3 = COMPOUND_TABLES[coords]
+    nonzero = [[(c, x) for c, x in enumerate(row) if not is_zero(x)] for row in g]
+    # the 2x2 minors on the row pairs t[1:], which never hold index 0
+    minors2 = {k: laplace(nonzero[r1], nonzero[r2], _PAIR_HITS)
+               for k, (r1, r2) in enumerate(GRADE2_PAIRS) if r1 > 0}
+    out = []
+    for first, rest, row_sign in rows:
+        row = [zero] * 20
+        for j, v in laplace(nonzero[first], minors2[rest], hits3,
+                            *((add, sub) if row_sign > 0 else (sub, add))):
+            row[j] = v
+        out.append(row)
+    return out
+
+
 def frame_covector(field: Field, k: int) -> ExteriorElement:
     """The k-th frame functional (0-based) as a grade-3 element."""
     t, sgn = FRAME_SUPPORT[k]
@@ -312,27 +362,21 @@ def lex3_coordinates(x: ExteriorElement) -> List[Element]:
 
 
 def induced_grade3_matrix(field: Field, g6: Sequence[Sequence[Element]],
-                          coords: str = "frame"):
-    """Matrix of the Lambda^3 action of a 6x6 matrix, computed columnwise as
-    wedges of the images of the basis vectors, in the chosen coordinates."""
-    from .linalg import Matrix
-    images = [ExteriorElement.vector(field, [g6[i][j] for i in range(DIM)])
-              for j in range(DIM)]
-    if coords == "frame":
-        convert = frame_coordinates
-        source = [from_frame_coordinates(
-            field, [field.one() if i == j else field.zero() for i in range(20)])
-            for j in range(20)]
-    elif coords == "lex3":
-        convert = lex3_coordinates
-        source = [ExteriorElement(field, 3, {t: field.one()})
-                  for t in GRADE3_TRIPLES]
-    else:
+                          coords: str = "frame") -> Matrix:
+    """Matrix of the Lambda^3 action of a 6x6 matrix in the chosen
+    coordinates: its third compound matrix, entry (I, J) the 3x3 minor
+    g6[I, J] (Cauchy-Binet).  Over QQ the minors are taken on integers, g6
+    scaled by one common denominator d, each nonzero entry one
+    ``Fraction(minor, d**3)``; over GF(p) on integers reduced at the end."""
+    if coords not in COMPOUND_TABLES:
         raise ValueError("coords must be 'frame' or 'lex3'")
-    cols = []
-    for elem in source:
-        image = ExteriorElement.zero(field, 3)
-        for t, c in elem.terms.items():
-            image = image + wedge_all([images[i] for i in t]).scale(c)
-        cols.append(convert(image))
-    return Matrix.from_columns(field, cols)
+    if isinstance(field, RationalField):
+        ints, d = _integer_row([x for row in g6 for x in row])
+        d3, zero = d ** 3, field.zero()
+        minors = _compound3([ints[i:i + DIM] for i in range(0, 36, DIM)], coords)
+        return Matrix(field, [[Fraction(v, d3) if v else zero for v in row]
+                              for row in minors])
+    if isinstance(field, PrimeField):
+        return Matrix(field, [[v % field.p for v in row] for row in _compound3(g6, coords)])
+    return Matrix(field, _compound3(g6, coords, field.add, field.sub, field.mul,
+                                    field.is_zero, field.zero()))

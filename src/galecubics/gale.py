@@ -74,6 +74,11 @@ class NonSyzygeticEquation:
         return tuple(MultiPoly.linear_form(self.field, self.variables, row)
                      for row in self.coeffs.data)
 
+    @cached_property
+    def dual(self) -> "NonSyzygeticEquation":
+        """The Gale dual tuple (:func:`gale_dual`), computed once."""
+        return gale_dual(self)
+
     @property
     def m(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
         """The 3x3 matrix of linear forms."""

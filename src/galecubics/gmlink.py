@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exterior import ExteriorElement
 from .fields import Field
 from .gale import solve_multiplier_system
-from .invariants import LEX3_VARIABLES, lex3_form
+from .invariants import LEX3_VARIABLES, big_cubics, lex3_form
 from .linalg import pfaffian4
 from .poly import MultiPoly, PolyRing
 
@@ -122,7 +122,6 @@ def big_cubic_membership(field: Field, which: str = "E",
                          ) -> Optional[List[MultiPoly]]:
     """Certificate that the corresponding big cubic lies in the quadric
     ideal of its side."""
-    from .invariants import big_cubics
     xt_e, xt_f = big_cubics(field)
     if which == "E":
         return ideal_membership_deg3(xt_e, Z15Ideal.build(field, E_SIDE).quadrics)

@@ -134,12 +134,6 @@ class _ReducerTable:
         self.entries.append((lead, [(h, field.mul(inv, c))
                                     for h, c in packed if h != lead]))
 
-    def without(self, index: int) -> "_ReducerTable":
-        """The same packing with entry ``index`` left out."""
-        table = _ReducerTable((), self.nvars, self.limit)
-        table.entries = self.entries[:index] + self.entries[index + 1:]
-        return table
-
     def widened(self, degree: int) -> "_ReducerTable":
         """The same entries repacked into slots whose limit reaches
         ``degree``."""
@@ -256,9 +250,6 @@ class GroebnerBasis:
     def leading_monomials(self) -> List[Monomial]:
         return [leading_monomial(g) for g in self.generators]
 
-    def reduce(self, p: MultiPoly) -> MultiPoly:
-        return normal_form(p, self.generators)
-
     def contains_one(self) -> bool:
         return any(g.total_degree() == 0 and not g.is_zero()
                    for g in self.generators)
@@ -371,39 +362,6 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
                    **{table.unpack(h): c for h, c in tail}}
         out.append(g)
     return GroebnerBasis(field, variables, out)
-
-
-def _autoreduce(basis: List[MultiPoly],
-                table: Optional[_ReducerTable] = None) -> List[MultiPoly]:
-    """Reduced basis: drop every element whose lead another lead divides,
-    fully reduce the rest against each other, make them monic.  ``table`` is
-    the packed form of ``basis``, built here when not given."""
-    field = basis[0].field
-    if table is None:
-        table = _ReducerTable(basis, len(basis[0].variables),
-                              max(g.total_degree() for g in basis))
-    # drop redundant generators (lead divisible by another lead)
-    leads = [lead for lead, _ in table.entries]
-    guard = table.guard
-    kept: List[MultiPoly] = []
-    kept_table = _ReducerTable((), table.nvars, table.limit)
-    for idx, (g, entry) in enumerate(zip(basis, table.entries)):
-        lm = leads[idx]
-        if any(k != idx and not (lm - leads[k]) & guard
-               and (leads[k] != lm or k < idx) for k in range(len(basis))):
-            continue
-        kept.append(g)
-        kept_table.entries.append(entry)
-    # fully reduce each against the others and normalise leading coefficient
-    out: List[MultiPoly] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        r = normal_form(g, others, kept_table.without(idx)) if others else g
-        if r.is_zero():
-            continue
-        inv = field.inv(r.terms[leading_monomial(r)])
-        out.append(r.scale(inv))
-    return sorted(out, key=lambda p: degrevlex_key(leading_monomial(p)))
 
 
 def s_polynomials_reduce_to_zero(gb: GroebnerBasis) -> bool:

@@ -11,7 +11,9 @@ from an admissible subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .exterior import (ExteriorElement, frame_covector, induced_grade3_matrix,
                        lex3_coordinates, from_frame_coordinates)
@@ -51,10 +53,8 @@ class CoordinateFrame:
 
     def det_m(self, start: int) -> MultiPoly:
         """det M_E (``start`` 0) or det M_F (``start`` 10): det(u0..u8) pulled back."""
-        rows = Matrix(self.field, [f.linear_coefficients()
-                                   for f in self.functionals[start:start + 9]])
-        return cubic_from_terms(self.field, 9, DET3_TERMS).linear_substitution(
-            rows, LEX3_VARIABLES)
+        return cubic_from_terms(self.field, 9, DET3_TERMS).subs(
+            self.functionals[start:start + 9])
 
     def l_e(self) -> MultiPoly:
         return self.functionals[9]
@@ -76,17 +76,18 @@ def build_frame(field: Field) -> CoordinateFrame:
 
 
 def sigma_quadric(field: Field, frame: Optional[CoordinateFrame] = None) -> MultiPoly:
-    """sum_i u_i * uhat_i as a 20-variable quadric."""
-    frame = frame or build_frame(field)
+    """sum_i u_i * uhat_i as a 20-variable quadric, built on ``frame``;
+    without one, the quadric of :func:`generator_candidates`."""
+    if frame is None:
+        return generator_candidates(field)["sigma"]
     acc = MultiPoly.zero(field, LEX3_VARIABLES)
     for i in range(10):
         acc = acc + frame.functionals[i] * frame.functionals[10 + i]
     return acc
 
 
-def trace_plus_product(field: Field, frame: Optional[CoordinateFrame] = None) -> MultiPoly:
+def trace_plus_product(field: Field, frame: CoordinateFrame) -> MultiPoly:
     """tr(M_E M_F^t) + L_E L_F, assembled by actual matrix multiplication."""
-    frame = frame or build_frame(field)
     me, mf = frame.m_e(), frame.m_f()
     acc = MultiPoly.zero(field, LEX3_VARIABLES)
     for i in range(3):
@@ -95,25 +96,35 @@ def trace_plus_product(field: Field, frame: Optional[CoordinateFrame] = None) ->
     return acc + frame.l_e() * frame.l_f()
 
 
-def big_cubics(field: Field, frame: Optional[CoordinateFrame] = None,
-               ) -> Tuple[MultiPoly, MultiPoly]:
+@lru_cache(maxsize=None)
+def generator_candidates(field: Field) -> Mapping[str, MultiPoly]:
+    """The six candidates whose scalars :func:`invariance_report` observes,
+    built on one frame once per field, read-only and shared by every caller
+    (so no polynomial in it may be modified in place)."""
+    frame = build_frame(field)
+    l_e, l_f = frame.l_e(), frame.l_f()
+    return MappingProxyType({
+        "L_E": l_e,
+        "L_F": l_f,
+        "trace": trace_plus_product(field, frame) - l_e * l_f,
+        "det_M_E": frame.det_m(0),
+        "det_M_F": frame.det_m(10),
+        "sigma": sigma_quadric(field, frame),
+    })
+
+
+def big_cubics(field: Field) -> Tuple[MultiPoly, MultiPoly]:
     """The cubics 2 det M_E - sigma L_E and 2 det M_F + sigma L_F."""
-    frame = frame or build_frame(field)
-    sigma = sigma_quadric(field, frame)
+    c = generator_candidates(field)
     two = field.from_int(2)
-    return (frame.det_m(0).scale(two) - sigma * frame.l_e(),
-            frame.det_m(10).scale(two) + sigma * frame.l_f())
+    return (c["det_M_E"].scale(two) - c["sigma"] * c["L_E"],
+            c["det_M_F"].scale(two) + c["sigma"] * c["L_F"])
 
 
 def block_diagonal6(field: Field, g: Sequence[Sequence[Element]],
                     h: Sequence[Sequence[Element]]) -> List[List[Element]]:
-    z = field.zero()
-    out = [[z] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            out[i][j] = g[i][j]
-            out[3 + i][3 + j] = h[i][j]
-    return out
+    z = [field.zero()] * 3
+    return [list(row) + z for row in g] + [z + list(row) for row in h]
 
 
 @dataclass
@@ -126,28 +137,17 @@ class InvarianceReport:
 
 
 def invariance_report(field: Field, g: Sequence[Sequence[Element]],
-                      h: Sequence[Sequence[Element]],
-                      frame: Optional[CoordinateFrame] = None) -> InvarianceReport:
+                      h: Sequence[Sequence[Element]]) -> InvarianceReport:
     """Observed scalar of each candidate generator under the induced action
     of (g, h); a scalar of one means the polynomial is fixed."""
-    frame = frame or build_frame(field)
     action = induced_grade3_matrix(field, block_diagonal6(field, g, h),
                                    coords="lex3")
-    candidates = {
-        "L_E": frame.l_e(),
-        "L_F": frame.l_f(),
-        "trace": trace_plus_product(field, frame) - frame.l_e() * frame.l_f(),
-        "det_M_E": frame.det_m(0),
-        "det_M_F": frame.det_m(10),
-        "sigma": sigma_quadric(field, frame),
-    }
-    scalars, invariant = {}, {}
+    images = [MultiPoly.linear_form(field, LEX3_VARIABLES, row)
+              for row in action.data]
+    scalars = {name: scalar_multiple(poly.subs(images), poly)
+               for name, poly in generator_candidates(field).items()}
     one = field.one()
-    for name, poly in candidates.items():
-        c = scalar_multiple(poly.linear_substitution(action, LEX3_VARIABLES), poly)
-        scalars[name] = c
-        invariant[name] = c == one
-    return InvarianceReport(scalars, invariant)
+    return InvarianceReport(scalars, {name: c == one for name, c in scalars.items()})
 
 
 def generator_invariance(field: Field, g: Sequence[Sequence[Element]],

@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .exterior import ExteriorElement, from_frame_coordinates, frame_coordinates, sort_indices
+from .exterior import induced_grade3_matrix
 from .fields import Element, Field
 from .gale import NonSyzygeticEquation, gale_dual
 from .linalg import Matrix, same_column_span
@@ -186,9 +186,9 @@ def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
         raise ValueError("i must be 1, 2 or 3")
     field = eq.field
     if eq.sign == 1:
-        plus_side, minus_side = eq, gale_dual(eq)
+        plus_side, minus_side = eq, eq.dual
     else:
-        plus_side, minus_side = gale_dual(eq), eq
+        plus_side, minus_side = eq.dual, eq
     perm = [i - 1] + [j for j in (0, 1, 2) if j != i - 1]
     plus_perm = plus_side.permute_l_forms(perm)
     minus_perm = minus_side.permute_l_forms(perm)
@@ -335,19 +335,15 @@ def gale_from_lagrangian(data: RhoLagrangianData,
     return eq_plus, eq_minus, pres
 
 
+def swap_ef_matrix(m: Matrix) -> Matrix:
+    """The columns of ``m`` (frame coordinates) under the involution
+    e_i <-> f_i: the product with its grade-3 action."""
+    k = m.field
+    swap = [[k.one() if j == (i + 3) % 6 else k.zero() for j in range(6)]
+            for i in range(6)]
+    return induced_grade3_matrix(k, swap, coords="frame") * m
+
+
 def swap_ef(field: Field, coords: Sequence[Element]) -> List[Element]:
     """Frame coordinates of the image under the involution e_i <-> f_i."""
-    x = from_frame_coordinates(field, coords)
-    terms = {}
-    for t, c in x.terms.items():
-        mapped = tuple((i + 3) % 6 for i in t)
-        sorted_ = sort_indices(mapped)
-        assert sorted_ is not None
-        tt, sign = sorted_
-        terms[tt] = c if sign > 0 else field.neg(c)
-    return frame_coordinates(ExteriorElement(field, 3, terms))
-
-
-def swap_ef_matrix(m: Matrix) -> Matrix:
-    return Matrix.from_columns(m.field, [swap_ef(m.field, m.column(j))
-                                         for j in range(m.cols)])
+    return swap_ef_matrix(Matrix.from_columns(field, [coords])).column(0)

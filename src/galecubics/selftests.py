@@ -125,8 +125,8 @@ def check_projection_roundtrip(seed: int = DEFAULT_SEED,
         hinv = pres.h.inverse()
         plus_back = eq_plus.cubic_polynomial(ginv, pres.normalized_eq.variables)
         minus_back = eq_minus.cubic_polynomial(hinv, pres.normalized_dual.variables)
-        plus_original = eq if eq.sign == 1 else gale_dual(eq)
-        minus_original = gale_dual(eq) if eq.sign == 1 else eq
+        plus_original = eq if eq.sign == 1 else eq.dual
+        minus_original = eq.dual if eq.sign == 1 else eq
         if scalar_multiple(plus_back, plus_original.cubic_polynomial()) is None:
             return False, f"plus cubic not reproduced (sample {n})"
         if scalar_multiple(minus_back,

@@ -583,6 +583,24 @@ def test_double_line_case_returns_equal_lines():
     assert line_to_epw(eq, 1, result.lines[0]).same_point(point)
 
 
+def test_nonsquare_discriminant_reported():
+    # a pinned witness over GF(7), on the tuple of the double-line witness:
+    # a membership point of nullity one whose residual conic has rank two
+    # and the non-square discriminant 3, so its lines are not over GF(7)
+    gf7 = PrimeField(7)
+    eq = NonSyzygeticEquation.random(gf7, random.Random(1))
+    data = lagrangian_from_gale(eq, 1)[0]
+    point = EPWPoint.make(gf7, [1, 0, 0, 0, 1, 0])
+    assert conic_covector(eq, point) is point
+    assert epw_contains(data, point) == (True, 1)
+    assert pi_gamma(eq, 1, point).generic()
+    result = epw_to_lines(eq, 1, point)
+    assert result.conic.rank() == 2
+    assert result.lines is None
+    assert result.discriminant == 3 and gf7.sqrt(3) is None
+    assert result.singular_point == result.conic.singular_point_in_ambient()
+
+
 def reference_contraction_matrix(data, covector):
     """``contraction_matrix`` as it was before the sign pattern: each
     spanning column read back into the exterior algebra, contracted with

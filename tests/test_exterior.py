@@ -6,8 +6,10 @@ from galecubics.exterior import (GRADE3_TRIPLES, DIM, ExteriorElement,
                                  frame_covector, frame_coordinates,
                                  from_frame_coordinates, induced_grade3_matrix,
                                  orientation_pair)
-from galecubics.fields import QQ, PrimeField
+from galecubics.fields import QQ, PrimeField, cyclotomic3, parse_field
 from galecubics.linalg import Matrix
+
+from conftest import reference_induced_grade3_matrix
 
 
 def random_element(field, rng, grade, density=0.6):
@@ -195,3 +197,36 @@ def test_induced_action_scalar_cubes():
     # the pure E-block triple (0,1,2) scales by c^3
     idx = GRADE3_TRIPLES.index((0, 1, 2))
     assert t.data[idx][idx] == k.from_int(8)
+
+
+COMPOUND_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(101),
+                   cyclotomic3(QQ), parse_field("cyclotomic3:2")]
+
+
+def sample_6x6(field, rng, kind):
+    """A seeded 6x6 matrix: dense, block-diagonal (E and F preserved) or
+    singular (last row the sum of the first two)."""
+    m = Matrix.random(field, 6, 6, rng).data
+    if kind == "block":
+        m = [[x if (i < 3) == (j < 3) else field.zero() for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    elif kind == "singular":
+        m[5] = [field.add(a, b) for a, b in zip(m[0], m[1])]
+        assert Matrix(field, m).rank() < 6
+    return m
+
+
+@pytest.mark.parametrize("kind", ["dense", "block", "singular"])
+@pytest.mark.parametrize("coords", ["lex3", "frame"])
+@pytest.mark.parametrize("field", COMPOUND_FIELDS, ids=lambda f: f.descriptor)
+def test_compound_matches_wedge_oracle(field, coords, kind):
+    rng = random.Random(f"{field.descriptor}:{coords}:{kind}")
+    for _ in range(3):
+        g6 = sample_6x6(field, rng, kind)
+        assert (induced_grade3_matrix(field, g6, coords)
+                == reference_induced_grade3_matrix(field, g6, coords))
+
+
+def test_induced_action_rejects_unknown_coordinates():
+    with pytest.raises(ValueError):
+        induced_grade3_matrix(QQ, Matrix.identity(QQ, 6).data, coords="plucker")

@@ -205,7 +205,35 @@ def reference_buchberger(gens):
         for k in range(new_index):
             pairs.add((new_index, k))
 
-    return GroebnerBasis(field, variables, groebner._autoreduce(basis))
+    return GroebnerBasis(field, variables, reference_autoreduce(basis))
+
+
+def reference_autoreduce(basis):
+    """Reduced basis: drop every element whose lead another lead divides,
+    fully reduce the rest against each other through ``normal_form``, make
+    them monic."""
+    field = basis[0].field
+    table = groebner._ReducerTable(basis, len(basis[0].variables),
+                                   max(g.total_degree() for g in basis))
+    leads = [lead for lead, _ in table.entries]
+    kept, kept_entries = [], []
+    for idx, (g, entry) in enumerate(zip(basis, table.entries)):
+        lm = leads[idx]
+        if any(k != idx and not (lm - leads[k]) & table.guard
+               and (leads[k] != lm or k < idx) for k in range(len(basis))):
+            continue
+        kept.append(g)
+        kept_entries.append(entry)
+    out = []
+    for idx, g in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        if others:
+            rest = groebner._ReducerTable((), table.nvars, table.limit)
+            rest.entries = kept_entries[:idx] + kept_entries[idx + 1:]
+            g = groebner.normal_form(g, others, rest)
+        if not g.is_zero():
+            out.append(g.scale(field.inv(g.terms[leading_monomial(g)])))
+    return sorted(out, key=lambda p: degrevlex_key(leading_monomial(p)))
 
 
 @pytest.fixture

@@ -5,16 +5,18 @@ import pytest
 from galecubics.exterior import ExteriorElement, from_frame_coordinates
 from galecubics.fields import QQ, PrimeField
 from galecubics.gale import NonSyzygeticEquation, composition_is_zero, gale_dual
+from galecubics import cli, invariants, selftests
 from galecubics.invariants import (LEX3_VARIABLES, PROJECTED_VARIABLES, big_cubics,
                                    coordinate_embedding,
                                    block_diagonal6, build_frame,
+                                   generator_candidates,
                                    generator_invariance, invariance_report,
                                    project_cubics, sigma_quadric,
                                    trace_plus_product)
 from galecubics.lagrangian import lagrangian_from_gale, swap_ef_matrix, validate
 from galecubics.poly import MultiPoly, scalar_multiple
 
-from conftest import random_unimodular3
+from conftest import random_unimodular3, reference_induced_grade3_matrix
 
 
 def test_frame_first_functional_on_basis_vector():
@@ -81,10 +83,66 @@ def test_non_unimodular_rejected_and_scaling_observed():
     assert report.scalars["det_M_F"] == field.from_int(2)
 
 
+def reference_invariance_report(field, g, h):
+    """The per-pair route: a fresh frame and candidates for every pair, the
+    wedge action, one ``linear_substitution`` per candidate."""
+    frame = build_frame(field)
+    action = reference_induced_grade3_matrix(field, block_diagonal6(field, g, h),
+                                             coords="lex3")
+    candidates = {
+        "L_E": frame.l_e(),
+        "L_F": frame.l_f(),
+        "trace": trace_plus_product(field, frame) - frame.l_e() * frame.l_f(),
+        "det_M_E": frame.det_m(0),
+        "det_M_F": frame.det_m(10),
+        "sigma": sigma_quadric(field, frame),
+    }
+    return {name: scalar_multiple(poly.linear_substitution(action, LEX3_VARIABLES),
+                                  poly)
+            for name, poly in candidates.items()}
+
+
+def test_invariance_report_matches_per_pair_route():
+    rng = random.Random(19)
+    for n in range(40):
+        g = random_unimodular3(QQ, rng).data
+        h = random_unimodular3(QQ, rng).data
+        if n % 2:   # twist by a determinant so that the scalars leave one
+            g = [[x * (n + 1) if j == 0 else x for j, x in enumerate(row)]
+                 for row in g]
+        got = invariance_report(QQ, g, h).scalars
+        expected = reference_invariance_report(QQ, g, h)
+        assert list(got.items()) == list(expected.items())
+
+
+def test_cached_candidates_unchanged_by_reports():
+    field = QQ
+    rng = random.Random(2)
+    cached = generator_candidates(field)
+    fresh = generator_candidates.__wrapped__(field)
+    assert all(cached[name] is not fresh[name] for name in fresh)
+    for _ in range(2):
+        invariance_report(field, random_unimodular3(field, rng).data,
+                          random_unimodular3(field, rng).data)
+        big_cubics(field)
+    assert generator_candidates(field) is cached
+    assert dict(cached) == dict(fresh)
+
+
+def test_sigma_identity_checks_build_both_sides(monkeypatch, capsys):
+    def no_cache(field):
+        raise AssertionError("the identity check read the cached candidates")
+
+    monkeypatch.setattr(invariants, "generator_candidates", no_cache)
+    assert selftests.check_frame_identities()[0]
+    assert cli.main(["invariants", "selftest"]) == 0
+    capsys.readouterr()
+
+
 def test_big_cubics_structure():
     field = QQ
     frame = build_frame(field)
-    xt_e, xt_f = big_cubics(field, frame)
+    xt_e, xt_f = big_cubics(field)
     assert xt_e.is_homogeneous(3) and xt_f.is_homogeneous(3)
     # the two cubics satisfy their defining identities exactly
     from galecubics.linalg import det_cofactor
