@@ -99,12 +99,10 @@ def cmd_lagrangian_from_gale(args) -> int:
     inst = _read_instance(args)
     eq = inst.equation()
     data, pres = lagrangian_from_gale(eq, args.choice_of_l)
-    sigma_ok = pres.sigma() == sigma_normal_form(eq.field)
-    _write(args, make_instance(eq.field, eq, data, extra={
-        "sigma_normal_form": sigma_ok,
-        "alpha_zero": pres.alpha().is_zero(),
-    }))
-    return 0 if sigma_ok else 1
+    checks = {"sigma_normal_form": pres.sigma() == sigma_normal_form(eq.field),
+              "alpha_zero": pres.alpha().is_zero()}
+    _write(args, make_instance(eq.field, eq, data, extra=checks))
+    return 0 if all(checks.values()) else 1
 
 
 def cmd_lagrangian_check(args) -> int:

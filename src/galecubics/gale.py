@@ -181,10 +181,9 @@ def gale_dual(eq: NonSyzygeticEquation) -> NonSyzygeticEquation:
     Applied to a minus tuple, the first dual L form is negated internally so
     that the transform stays an involution on plus-normalised presentations.
     """
-    c = eq.plus_normalized().coefficient_matrix()
-    if c.rank() != 6:
+    kernel = eq.plus_normalized().coefficient_matrix().kernel_basis()
+    if kernel.cols != 6:                 # 12x6 and canonical when rank 6
         raise DegenerateTupleError("degenerate tuple: kernel dimension exceeds 6")
-    kernel = c.kernel_basis()            # 12x6, canonical
     if eq.sign == -1:
         kernel = _negate_l(kernel)
     return NonSyzygeticEquation(eq.field, dual_variable_names(eq.variables),

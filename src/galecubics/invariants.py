@@ -113,8 +113,10 @@ def generator_candidates(field: Field) -> Mapping[str, MultiPoly]:
     })
 
 
+@lru_cache(maxsize=None)
 def big_cubics(field: Field) -> Tuple[MultiPoly, MultiPoly]:
-    """The cubics 2 det M_E - sigma L_E and 2 det M_F + sigma L_F."""
+    """The cubics 2 det M_E - sigma L_E and 2 det M_F + sigma L_F, built
+    once per field, shared by every caller and read-only."""
     c = generator_candidates(field)
     two = field.from_int(2)
     return (c["det_M_E"].scale(two) - c["sigma"] * c["L_E"],

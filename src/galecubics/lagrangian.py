@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exterior import induced_grade3_matrix
 from .fields import Element, Field
-from .gale import NonSyzygeticEquation, gale_dual
+from .gale import NonSyzygeticEquation, dual_variable_names, gale_dual
 from .linalg import Matrix, same_column_span
 
 
@@ -28,11 +28,6 @@ class LagrangianValidationError(ValueError):
     def __init__(self, failures: List[str]):
         self.failures = failures
         super().__init__("; ".join(failures))
-
-
-def canonical_columns(m: Matrix) -> Matrix:
-    """Canonical (RREF-of-transpose) basis of the column span."""
-    return m.transpose().row_space().transpose()
 
 
 @dataclass
@@ -60,30 +55,39 @@ def symplectic_blocks(candidate: Matrix) -> Tuple[Matrix, Matrix]:
 
 def validate(field: Field, candidate: Matrix) -> RhoLagrangianData:
     """Check dimension 10, the Lagrangian condition and both block slices
-    of dimension 4; every failed condition is reported by name."""
+    of dimension 4; every failed condition is reported by name.
+
+    The RREF R of the transposed candidate is the canonical span.  Its rows
+    that pivot in U_F are the canonical basis of A_F; the other rows, halves
+    swapped, reduced again, give A_E as their rows pivoting in the second
+    half, swapped back (an RREF is unique, so both bases are canonical)."""
     failures = []
     if candidate.rows != 20:
         raise LagrangianValidationError(["matrix must have 20 rows (frame coordinates)"])
-    span = canonical_columns(candidate)
-    if span.cols != 10:
+    red, pivots = candidate.transpose().rref()
+    if len(pivots) != 10:
         raise LagrangianValidationError(
-            [f"dimension: expected 10, got {span.cols}"])
+            [f"dimension: expected 10, got {len(pivots)}"])
+    rows = red.data[:10]
+    span = Matrix(field, rows, 20).transpose()
     top, bottom = symplectic_blocks(span)
     pairing = (top.transpose() * bottom).data    # entries canonical in every field
     if any(pairing[i][j] != pairing[j][i]
            for i in range(10) for j in range(i + 1, 10)):
         failures.append("lagrangian: wedge pairing does not vanish on the subspace")
-    a_e_coords = bottom.kernel_basis()
-    a_f_coords = top.kernel_basis()
-    if a_e_coords.cols != 4:
-        failures.append(f"rho-dimension-E: expected 4, got {a_e_coords.cols}")
-    if a_f_coords.cols != 4:
-        failures.append(f"rho-dimension-F: expected 4, got {a_f_coords.cols}")
+    a_f_rows = [row for row, c in zip(rows, pivots) if c >= 10]
+    swapped = [row[10:] + row[:10] for row, c in zip(rows, pivots) if c < 10]
+    red_e, pivots_e = Matrix(field, swapped, 20).rref()
+    a_e_rows = [row[10:] + row[:10]
+                for row, c in zip(red_e.data, pivots_e) if c >= 10]
+    if len(a_e_rows) != 4:
+        failures.append(f"rho-dimension-E: expected 4, got {len(a_e_rows)}")
+    if len(a_f_rows) != 4:
+        failures.append(f"rho-dimension-F: expected 4, got {len(a_f_rows)}")
     if failures:
         raise LagrangianValidationError(failures)
-    a_e = canonical_columns(span * a_e_coords)
-    a_f = canonical_columns(span * a_f_coords)
-    return RhoLagrangianData(field, span, a_e, a_f)
+    return RhoLagrangianData(field, span, Matrix(field, a_e_rows).transpose(),
+                             Matrix(field, a_f_rows).transpose())
 
 
 @dataclass
@@ -161,14 +165,8 @@ def _trailing_normalizer(field: Field, row_a: Sequence[Element],
         raise SplittingError(
             "degenerate L-form configuration: trailing forms are dependent")
     free = [c for c in range(6) if c not in pivots][:4]
-    rows = []
-    for c in free:
-        row = [field.zero()] * 6
-        row[c] = field.one()
-        rows.append(row)
-    rows.append(list(row_a))
-    rows.append(list(row_b))
-    return Matrix(field, rows).inverse()
+    unit = Matrix.identity(field, 6).data
+    return Matrix(field, [unit[c] for c in free] + two.data).inverse()
 
 
 def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
@@ -203,15 +201,10 @@ def lagrangian_from_gale(eq: NonSyzygeticEquation, i: int,
     if not (qhat.transpose() * phat).is_zero():
         raise SplittingError("internal inconsistency: Qhat^t Phat != 0")
 
-    q2 = qhat.submatrix(range(10), range(4))
-    q4 = qhat.submatrix(range(10), [4])
-    q3 = qhat.submatrix(range(10), [5])
-    p1 = phat.submatrix(range(10), range(4))
-    p3 = phat.submatrix(range(10), [4])
-    p4 = phat.submatrix(range(10), [5])
     zero4 = Matrix.zero(field, 10, 4)
-    q = zero4.hstack(q2).hstack(q3).hstack(q4)
-    p = p1.hstack(Matrix.zero(field, 10, 4)).hstack(p3).hstack(p4)
+    q = zero4.hstack(qhat.submatrix(range(10), [0, 1, 2, 3, 5, 4]))
+    p = phat.submatrix(range(10), range(4)).hstack(zero4).hstack(
+        phat.submatrix(range(10), [4, 5]))
 
     presentation = QPPresentation(field, q, p, qhat, phat, g=g, h=h,
                                   normalized_eq=normalized_eq,
@@ -229,27 +222,23 @@ def _sigma_value(field: Field, u: Sequence[Element], v: Sequence[Element]) -> El
     return field.mul(acc, field.inv(field.from_int(2)))
 
 
+def _complement_directions(data: RhoLagrangianData) -> List[List[Element]]:
+    """The first two canonical columns outside A_F + A_E and the columns
+    before them: pivots 8 and 9 of the RREF of ``hstack(a_f, a_e, matrix)``."""
+    _, pivots = data.a_f.hstack(data.a_e).hstack(data.matrix).rref()
+    if pivots[:8] != list(range(8)) or len(pivots) < 10:
+        raise SplittingError(
+            "splitting failure: no directions outside A_E + A_F")
+    return [data.matrix.column(c - 8) for c in pivots[8:10]]
+
+
 def adapted_presentation(data: RhoLagrangianData) -> QPPresentation:
     """Deterministic adapted basis of an admissible subspace: canonical
     bases of A_F and A_E, two complementary directions drawn from the
     subspace's canonical columns, then the hyperbolic normalisation
     (Q3,Q4)^t(P3,P4) = [[0,-1],[-1,0]]."""
     field = data.field
-    base = data.a_f.hstack(data.a_e)          # 20x8
-    extra: List[List[Element]] = []
-    work = base
-    for j in range(data.matrix.cols):
-        if work.cols == 10:
-            break
-        cand = data.matrix.column(j)
-        trial = work.hstack(Matrix.from_columns(field, [cand]))
-        if trial.rank() == work.cols + 1:
-            work = trial
-            extra.append(cand)
-    if len(extra) != 2:
-        raise SplittingError(
-            "splitting failure: no directions outside A_E + A_F")
-    v1, v2 = extra
+    v1, v2 = _complement_directions(data)
     s33 = _sigma_value(field, v1, v1)
     s34 = _sigma_value(field, v1, v2)
     s44 = _sigma_value(field, v2, v2)
@@ -283,10 +272,7 @@ def adapted_presentation(data: RhoLagrangianData) -> QPPresentation:
                              "in the radical")
     t = field.mul(_sigma_value(field, w2, w2), field.inv(field.from_int(2)))
     w2 = [field.add(x, field.mul(t, y)) for x, y in zip(w2, w1)]
-    cols = [data.a_f.column(j) for j in range(4)]
-    cols += [data.a_e.column(j) for j in range(4)]
-    cols += [w1, w2]
-    basis = Matrix.from_columns(field, cols)
+    basis = data.a_f.hstack(data.a_e).hstack(Matrix.from_columns(field, [w1, w2]))
     q, p = symplectic_blocks(basis)
     qhat, phat = _hats_from_blocks(field, q, p)
     pres = QPPresentation(field, q, p, qhat, phat)
@@ -299,30 +285,17 @@ def adapted_presentation(data: RhoLagrangianData) -> QPPresentation:
 
 
 def _hats_from_blocks(field: Field, q: Matrix, p: Matrix) -> Tuple[Matrix, Matrix]:
-    q2 = q.submatrix(range(10), range(4, 8))
-    q3 = q.submatrix(range(10), [8])
-    q4 = q.submatrix(range(10), [9])
-    p1 = p.submatrix(range(10), range(4))
-    p3 = p.submatrix(range(10), [8])
-    p4 = p.submatrix(range(10), [9])
-    tail = Matrix(field, [
-        [field.zero()] * 4 + [field.one(), field.zero()],
-        [field.zero()] * 4 + [field.zero(), field.one()],
-    ])
-    qhat = q2.hstack(q4).hstack(q3).vstack(tail)
-    phat = p1.hstack(p3).hstack(p4).vstack(tail)
-    return qhat, phat
+    tail = Matrix.identity(field, 6).submatrix([4, 5], range(6))
+    return (q.submatrix(range(10), [4, 5, 6, 7, 9, 8]).vstack(tail),
+            p.submatrix(range(10), [0, 1, 2, 3, 8, 9]).vstack(tail))
 
 
 def equations_from_hats(field: Field, qhat: Matrix, phat: Matrix,
                         variables=("X0", "X1", "X2", "X3", "X4", "X5"),
                         ) -> Tuple[NonSyzygeticEquation, NonSyzygeticEquation]:
     """Read a plus tuple off Qhat's rows and a minus tuple off Phat's rows."""
-    from .gale import dual_variable_names
-    dual_vars = dual_variable_names(variables)
-
     return (NonSyzygeticEquation(field, tuple(variables), qhat, 1),
-            NonSyzygeticEquation(field, dual_vars, phat, -1))
+            NonSyzygeticEquation(field, dual_variable_names(variables), phat, -1))
 
 
 def gale_from_lagrangian(data: RhoLagrangianData,

@@ -17,10 +17,12 @@ and divides once per entry.  The reduced row echelon form of a matrix is
 unique, so the integer path returns exactly the matrix and pivots of the
 generic one (``_rref_generic``, ``_mul_generic``, kept as differential
 oracles), and every kernel, canonical basis and serialised output built
-on it is unchanged.  Over a prime field, ``rref`` and ``*`` run on plain
-``int`` rows instead of ``Field`` calls: ``rref`` reduces each entry into
-[0, p) on entry, takes the pivot inverse by ``pow`` and makes one ``% p``
-per update, and ``*`` takes one ``% p`` per dot product.  On reduced input
+on it is unchanged.  Over a prime field, ``rref``, ``*`` and
+``apply_to_vector`` run on plain ``int`` rows instead of ``Field`` calls:
+``rref`` reduces each entry into [0, p) on entry, takes the pivot inverse by
+``pow`` and makes one ``% p`` per update; the products take one ``% p`` per
+dot product (``apply_to_vector`` agrees with its generic loop
+``_apply_generic`` on any input, since that loop reduces).  On reduced input
 both return exactly what the generic path returns (on unreduced input
 ``rref`` agrees with it mod p, every entry in [0, p)).  The cube-root
 extensions use the generic path.
@@ -208,6 +210,12 @@ class Matrix:
                                    for row in self.data], other.cols)
 
     def apply_to_vector(self, v: Sequence[Element]) -> List[Element]:
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            return [sum(map(mul, row, v)) % p for row in self.data]
+        return self._apply_generic(v)
+
+    def _apply_generic(self, v: Sequence[Element]) -> List[Element]:
         k = self.field
         out = []
         for row in self.data:

@@ -63,3 +63,39 @@ def reference_induced_grade3_matrix(field, g6, coords="frame"):
             image = image + wedge_all([images[i] for i in t]).scale(c)
         cols.append(convert(image))
     return Matrix.from_columns(field, cols)
+
+
+def reference_validate(field, candidate):
+    """The admissibility check by separate eliminations: the canonical span,
+    the two block kernels of its 10x10 halves and the canonical bases of
+    their images.  The oracle of the two-echelon-form route of
+    ``lagrangian.validate``."""
+    from galecubics.lagrangian import (LagrangianValidationError,
+                                       RhoLagrangianData, symplectic_blocks)
+
+    def canonical_columns(m):
+        return m.transpose().row_space().transpose()
+
+    failures = []
+    if candidate.rows != 20:
+        raise LagrangianValidationError(["matrix must have 20 rows (frame coordinates)"])
+    span = canonical_columns(candidate)
+    if span.cols != 10:
+        raise LagrangianValidationError(
+            [f"dimension: expected 10, got {span.cols}"])
+    top, bottom = symplectic_blocks(span)
+    pairing = (top.transpose() * bottom).data
+    if any(pairing[i][j] != pairing[j][i]
+           for i in range(10) for j in range(i + 1, 10)):
+        failures.append("lagrangian: wedge pairing does not vanish on the subspace")
+    a_e_coords = bottom.kernel_basis()
+    a_f_coords = top.kernel_basis()
+    if a_e_coords.cols != 4:
+        failures.append(f"rho-dimension-E: expected 4, got {a_e_coords.cols}")
+    if a_f_coords.cols != 4:
+        failures.append(f"rho-dimension-F: expected 4, got {a_f_coords.cols}")
+    if failures:
+        raise LagrangianValidationError(failures)
+    a_e = canonical_columns(span * a_e_coords)
+    a_f = canonical_columns(span * a_f_coords)
+    return RhoLagrangianData(field, span, a_e, a_f)

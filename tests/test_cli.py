@@ -109,6 +109,24 @@ def test_lagrangian_pipeline(capsys, tmp_path):
     assert json.loads(out)["failures"]
 
 
+@pytest.mark.parametrize("broken", ["alpha", "sigma"])
+def test_lagrangian_from_gale_fails_on_either_check(capsys, tmp_path, monkeypatch,
+                                                    broken):
+    # exit code 1 means a check is false: either one, not only sigma
+    from galecubics.lagrangian import QPPresentation
+    from galecubics.linalg import Matrix
+    payload, _ = sample_instance(4)
+    src = tmp_path / "eq.json"
+    src.write_text(json.dumps(payload))
+    nonzero = Matrix.identity(FIELD, 10)
+    monkeypatch.setattr(QPPresentation, broken, lambda self: nonzero)
+    code, out, _ = run_cli(capsys, ["lagrangian", "from-gale", "-i", str(src)])
+    produced = json.loads(out)
+    assert code == 1
+    assert produced["alpha_zero"] is (broken != "alpha")
+    assert produced["sigma_normal_form"] is (broken != "sigma")
+
+
 def test_epw_commands(capsys, tmp_path):
     payload, eq = sample_instance(5, sign=1)
     src = tmp_path / "eq.json"

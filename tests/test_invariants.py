@@ -129,6 +129,24 @@ def test_cached_candidates_unchanged_by_reports():
     assert dict(cached) == dict(fresh)
 
 
+def test_cached_big_cubics_unchanged_by_callers():
+    from galecubics.gmlink import E_SIDE, F_SIDE, Z15Ideal, ideal_membership_deg3
+    field = QQ
+    cached = big_cubics(field)
+    before = [dict(p.terms) for p in cached]
+    eq = NonSyzygeticEquation.random(field, random.Random(3))
+    for i in (1, 2, 3):
+        assert project_cubics(*lagrangian_from_gale(eq, i))[2].ok()
+    for cubic, side in zip(cached, (E_SIDE, F_SIDE)):
+        assert ideal_membership_deg3(cubic, Z15Ideal.build(field, side).quadrics)
+    assert big_cubics(field) is cached
+    assert [dict(p.terms) for p in cached] == before
+    frame = build_frame(field)
+    sigma, two = sigma_quadric(field, frame), field.from_int(2)
+    assert cached == (frame.det_m(0).scale(two) - sigma * frame.l_e(),
+                      frame.det_m(10).scale(two) + sigma * frame.l_f())
+
+
 def test_sigma_identity_checks_build_both_sides(monkeypatch, capsys):
     def no_cache(field):
         raise AssertionError("the identity check read the cached candidates")

@@ -473,6 +473,24 @@ def test_mod_product_matches_generic(p, shape):
                 assert fast.data == slow.data
 
 
+@pytest.mark.parametrize("shape", MOD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_mod_apply_matches_generic(p, shape):
+    # every entry operation of the generic loop reduces, so the two agree
+    # exactly on negative and unreduced entries too
+    k = PrimeField(p)
+    rng = random.Random(f"apply:{p}:{shape}")
+    rows, cols = shape
+    for m in _mod_cases(k, rows, cols, rng):
+        v = [k.random(rng) for _ in range(cols)]
+        raw_v = [x + p * rng.randint(-3, 3) for x in v]
+        for left, right in ((m, v), (_unreduced(m, rng), raw_v), (m, raw_v)):
+            fast, slow = left.apply_to_vector(right), left._apply_generic(right)
+            assert len(fast) == rows
+            assert all(type(x) is int and 0 <= x < p for x in fast)
+            assert fast == slow
+
+
 @pytest.mark.parametrize("k", [QQ, PrimeField(101), cyclotomic3(PrimeField(5))],
                          ids=lambda k: k.descriptor)
 def test_rref_of_zero_rows_keeps_its_columns(k):
