@@ -13,8 +13,8 @@ vanishes exactly at the membership points of the pencil.  When the matrix
 at the second point has full rank, constant row and column operations
 bring the pencil to the form [tI + A1 | A2], and the divisor is the
 characteristic polynomial of a matrix of size at most 10: one rref gives
-both the degree and the points.  Otherwise a unimodular elimination over
-k[t] computes it.
+both the degree and the points.  Otherwise the pencil is re-based at a
+point that is not a member, and over GF(2) to GF(5) there may be none.
 
 On the cubic side, a point ``(e, f)`` with nonzero ``e`` spans a plane
 ``Mf + e L_i = 0`` containing the line ``Mf = L_i = 0``; the conic residual
@@ -40,9 +40,8 @@ from .groebner import buchberger, is_zero_dim_cone
 from .invariants import LEX3_VARIABLES
 from .lagrangian import RhoLagrangianData
 from .linalg import Matrix, sparse_echelon
-from .poly import (MultiPoly, PolyRing, _trim, monomials_of_degree,
-                   scalar_multiple, univariate_divmod, univariate_from_coeffs,
-                   univariate_mul, univariate_sub)
+from .poly import (MultiPoly, PolyRing, monomials_of_degree, scalar_multiple,
+                   univariate_from_coeffs)
 
 
 @dataclass(frozen=True)
@@ -170,49 +169,81 @@ def epw_line_degree(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     sitting at t = infinity), and the zero polynomial when the whole pencil
     lies in the degeneracy locus.
 
-    It is computed exactly.  When p1 is not a member, constant unimodular
-    operations (which keep the gcd of the maximal minors) turn the pencil
-    into [tI + A1 | A2]; in a Kalman decomposition of (A1, A2) the
-    uncontrollable block splits off as a factor det(tI + Au), and by the
-    PBH test the controllable part has full rank at every t, so its minors
-    have gcd 1.  When p1 is a member (or the pencil lies in the locus), a
-    unimodular elimination over k[t] computes the divisor instead."""
-    return univariate_from_coeffs(data.field, var,
-                                  _determinant_divisor_on_pencil(data, p0, p1))
+    It is computed exactly, by constant unimodular operations (which keep
+    the gcd of the maximal minors) on the pencil re-based at a point that is
+    not a member (:func:`_determinant_divisor_on_pencil`).  A ``ValueError``
+    says when no point tried is one, which only happens over GF(2) to GF(5)."""
+    divisor = _determinant_divisor_on_pencil(data, p0, p1)
+    if divisor is None:
+        raise ValueError(f"every point of the pencil tried over "
+                         f"{data.field.descriptor} is a member: undecided")
+    return univariate_from_coeffs(data.field, var, divisor)
 
 
 def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
-                                   p1: EPWPoint) -> List[Element]:
-    """Monic gcd of all maximal minors of the (transposed, 10 x 15)
-    contraction matrix C(t) = C(p0) + t*C(p1) along the pencil, low degree
-    first, ``[]`` when it is zero.  The contraction is linear in the
-    covector, so its values at the two points are the coefficients.
+                                   p1: EPWPoint) -> Optional[List[Element]]:
+    """Monic gcd of all maximal minors of the contraction matrix
+    C(t) = C(p0) + t*C(p1) along the pencil, low degree first, ``[]`` when
+    it is zero and ``None`` when it is undecided.
 
-    One rref of [C(p1)^T | C(p0)^T] gives P with P C(p1)^T in reduced form.
-    If C(p1)^T has rank 10, with pivot columns S and the others N, then
-    P C(t)^T has the columns tI + A1 on S, A1 = (P C(p0)^T)_S, and
-    subtracting the S columns times R_N = (P C(p1)^T)_N leaves the constant
-    A2 = (P C(p0)^T)_N - A1 R_N on N.  Both steps are constant and
-    invertible, so the divisor is that of [tI + A1 | A2]:
-    * a basis change putting the smallest A1-invariant subspace K that
-      holds the columns of A2 first gives the block triangular
-      [[tI + F11, F12, G1], [0, tI + Au, 0]], Au the map A1 induces on
-      k^10 / K (Kalman decomposition);
-    * every nonzero maximal minor uses all of the columns of tI + Au, so
-      the divisor is det(tI + Au) times that of [tI + F11 | G1];
-    * (F11, G1) is controllable, so [tI + F11 | G1] has full rank at every
-      t of the algebraic closure (PBH test) and its minors have gcd 1.
-    If C(p1)^T has rank below 10 (p1 is a member, roots at t = infinity,
-    or the whole pencil lies in the locus), the k[t] elimination
-    :func:`_divisor_by_elimination` runs instead."""
+    As a form in (s, t) at s*p0 + t*p1 it is the EPW sextic on the line:
+    degree 6 or zero, vanishing exactly at the members.  For the distinct
+    c in ``from_int(0..6)``, the first non-member q = p1 + c*p0 gives the
+    divisor d_c of p0 + u*q (:func:`_constant_reduction`), where s*p0 + t*p1
+    sits at (s - c*t, t); so the divisor is d_c, homogenised, at
+    (1 - c*t, t), made monic.  A nonzero sextic has at most six zeros, so
+    seven members make it zero.  With fewer values (characteristic 2, 3, 5)
+    p0 is tried too, through the swapped pencil p1 + u*p0, whose divisor is
+    reversed; if it is a member as well, the divisor is undecided."""
     if p0.same_point(p1):
         raise ValueError("coincident points do not span a pencil")
     field = data.field
-    c0 = contraction_matrix(data, p0.coords).transpose()
-    c1 = contraction_matrix(data, p1.coords).transpose()
-    red, pivots = Matrix(field, [r1 + r0 for r1, r0 in zip(c1.data, c0.data)]).rref()
+    shifts = list(dict.fromkeys(field.from_int(c) for c in range(7)))
+    trials = [(p0, p1, c) for c in shifts]
+    if len(shifts) < 7:
+        trials.append((p1, p0, field.zero()))
+    for base, other, c in trials:
+        second = [field.add(b, field.mul(c, a))
+                  for a, b in zip(base.coords, other.coords)]
+        divisor = _constant_reduction(field, contraction_matrix(data, base.coords),
+                                      contraction_matrix(data, second))
+        if divisor is None:
+            continue
+        rebased = []        # d_c at (1 - c*t, t), by Horner in 1 - c*t
+        for d in divisor:
+            rebased = [field.sub(x, field.mul(c, y))
+                       for x, y in zip(rebased + [d], [field.zero()] + rebased)]
+        if base is p1:
+            rebased.reverse()
+        while field.is_zero(rebased[-1]):
+            rebased.pop()
+        inv = field.inv(rebased[-1])
+        return [field.mul(inv, x) for x in rebased]
+    return [] if len(shifts) == 7 else None
+
+
+def _constant_reduction(field: Field, c0: Matrix, c1: Matrix) -> Optional[List[Element]]:
+    """Monic divisor (low degree first) of the pencil C(u) = c0 + u*c1 of
+    contraction matrices when c1 has rank 10, else ``None``.
+
+    One rref of [c1^T | c0^T] gives P with P c1^T in reduced form, pivot
+    columns S and the others N.  Then P C(u)^T has the columns
+    uI + A1 on S, A1 = (P c0^T)_S, and subtracting the S columns times
+    R_N = (P c1^T)_N leaves the constant A2 = (P c0^T)_N - A1 R_N on N.
+    Both steps are constant and invertible, so the divisor is that of
+    [uI + A1 | A2]:
+    * a basis change putting the smallest A1-invariant subspace K that
+      holds the columns of A2 first gives the block triangular
+      [[uI + F11, F12, G1], [0, uI + Au, 0]], Au the map A1 induces on
+      k^10 / K (Kalman decomposition);
+    * every nonzero maximal minor uses all of the columns of uI + Au, so
+      the divisor is det(uI + Au) times that of [uI + F11 | G1];
+    * (F11, G1) is controllable, so [uI + F11 | G1] has full rank at every
+      u of the algebraic closure (PBH test) and its minors have gcd 1."""
+    red, pivots = Matrix(field, [r1 + r0 for r1, r0 in zip(
+        c1.transpose().data, c0.transpose().data)]).rref()
     if len(pivots) < 10 or pivots[-1] >= 15:
-        return _divisor_by_elimination(field, c0, c1)
+        return None
     rows = red.data
     free = [j for j in range(15) if j not in pivots]
     a1 = Matrix(field, [[row[15 + s] for s in pivots] for row in rows])
@@ -242,82 +273,31 @@ def _determinant_divisor_on_pencil(data: RhoLagrangianData, p0: EPWPoint,
                   len(rest)).charpoly()
 
 
-def _divisor_by_elimination(field: Field, c0: Matrix, c1: Matrix) -> List[Element]:
-    """The determinant divisor of the 10 x 15 pencil c0 + t*c1 by
-    unimodular elimination over the univariate polynomial ring: diagonalise
-    with division-with-remainder pivots; the product of the pivots is the
-    divisor.  Runs when c1 has rank below 10, and is the test oracle of the
-    constant reduction."""
-    entries = [[_trim(field, [a, b]) for a, b in zip(row0, row1)]
-               for row0, row1 in zip(c0.data, c1.data)]
-    rows, cols = 10, 15
-    divisor = [field.one()]
-    for step in range(rows):
-        while True:
-            pivot = None
-            for i in range(step, rows):
-                for j in range(step, cols):
-                    if entries[i][j] and (pivot is None
-                                          or len(entries[i][j]) < len(
-                                              entries[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                return []   # rank below 10 along the whole pencil
-            pi, pj = pivot
-            entries[step], entries[pi] = entries[pi], entries[step]
-            for row in entries:
-                row[step], row[pj] = row[pj], row[step]
-            head = entries[step][step]
-            clean = True
-            for i in range(step + 1, rows):
-                if not entries[i][step]:
-                    continue
-                q, _ = univariate_divmod(field, entries[i][step], head)
-                for j in range(step, cols):
-                    entries[i][j] = univariate_sub(
-                        field, entries[i][j],
-                        univariate_mul(field, q, entries[step][j]))
-                if entries[i][step]:
-                    clean = False
-            for j in range(step + 1, cols):
-                if not entries[step][j]:
-                    continue
-                q, _ = univariate_divmod(field, entries[step][j], head)
-                for i in range(step, rows):
-                    entries[i][j] = univariate_sub(
-                        field, entries[i][j],
-                        univariate_mul(field, q, entries[i][step]))
-                if entries[step][j]:
-                    clean = False
-            if clean:
-                break
-        divisor = univariate_mul(field, divisor, entries[step][step])
-    lead = divisor[-1]
-    inv = field.inv(lead)
-    return [field.mul(inv, c) for c in divisor]
-
-
 def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
                        ) -> List[Tuple[Optional[Element], EPWPoint]]:
     """Membership points of the pencil p0 + t*p1 over a prime field, with
     their parameters: the roots t in GF(p) of :func:`epw_line_degree` in
     ascending order (every t when it is zero), then ``(None, p1)`` when p1
     itself is a member.  The rank drops at t0 exactly when every maximal
-    minor vanishes there, that is when t - t0 divides their gcd."""
+    minor vanishes there, that is when t - t0 divides their gcd.  When the
+    divisor is undecided, every point of the pencil over GF(p) is a member,
+    so it is listed like the zero divisor."""
     field = data.field
     if not isinstance(field, PrimeField):
         raise ValueError("scanning requires a prime field")
-    divisor = _determinant_divisor_on_pencil(data, p0, p1)[::-1]
+    divisor = _determinant_divisor_on_pencil(data, p0, p1) or []
     p = field.p
     out = []
     for t in field.elements():
         value = 0
-        for c in divisor:
+        for c in reversed(divisor):
             value = (value * t + c) % p
         if not value:
             out.append((t, EPWPoint.make(field, [field.add(a, field.mul(t, b))
                                                  for a, b in zip(p0.coords, p1.coords)])))
-    if epw_contains(data, p1)[0]:
+    # the divisor is a sextic form: its degree in t drops exactly when it
+    # vanishes at t = infinity, that is at p1
+    if len(divisor) < 7:
         out.append((None, p1))
     return out
 

@@ -122,7 +122,9 @@ V_GENERATORS = (
 @dataclass
 class A4FamilyParams:
     """Five free parameters of the family plus the chosen primitive cube
-    root of unity; lam sits in a denominator and must be nonzero."""
+    root of unity; lam sits in a denominator and must be nonzero.  In
+    characteristic 3, xi = 1 and 3 lam = 0; in characteristic 2 the sign
+    involutions are the identity, so the group has order 3, not 12."""
 
     field: Field
     alpha: Element
@@ -133,6 +135,9 @@ class A4FamilyParams:
     xi: Element
 
     def __post_init__(self):
+        if self.field.characteristic in (2, 3):
+            raise ValueError(f"the A4 family needs characteristic other than "
+                             f"2 and 3, not {self.field.characteristic}")
         if self.field.is_zero(self.lam):
             raise ValueError("lam must be nonzero (it appears in 1/(3 lam))")
         k = self.field

@@ -129,17 +129,19 @@ class QPPresentation:
 
     def alpha(self) -> Matrix:
         qtp = self.qtp()
-        return _halve(qtp - qtp.transpose())
+        return (qtp - qtp.transpose()).scale(_half(self.field))
 
     def sigma(self) -> Matrix:
         qtp = self.qtp()
-        return _halve(qtp + qtp.transpose())
+        return (qtp + qtp.transpose()).scale(_half(self.field))
 
 
-def _halve(m: Matrix) -> Matrix:
-    k = m.field
-    half = k.inv(k.from_int(2))
-    return m.scale(half)
+def _half(field: Field) -> Element:
+    """1/2, which the hyperbolic normal form and its checks need."""
+    if field.characteristic == 2:
+        raise SplittingError("the hyperbolic normal form needs characteristic "
+                             "other than 2")
+    return field.inv(field.from_int(2))
 
 
 def sigma_normal_form(field: Field) -> Matrix:
@@ -219,7 +221,7 @@ def _sigma_value(field: Field, u: Sequence[Element], v: Sequence[Element]) -> El
     for a in range(10):
         acc = field.add(acc, field.mul(u[a], v[10 + a]))
         acc = field.add(acc, field.mul(v[a], u[10 + a]))
-    return field.mul(acc, field.inv(field.from_int(2)))
+    return field.mul(acc, _half(field))
 
 
 def _complement_directions(data: RhoLagrangianData) -> List[List[Element]]:
@@ -270,7 +272,7 @@ def adapted_presentation(data: RhoLagrangianData) -> QPPresentation:
     else:  # pragma: no cover - excluded by det != 0
         raise SplittingError("normalization failure: isotropic direction is "
                              "in the radical")
-    t = field.mul(_sigma_value(field, w2, w2), field.inv(field.from_int(2)))
+    t = field.mul(_sigma_value(field, w2, w2), _half(field))
     w2 = [field.add(x, field.mul(t, y)) for x, y in zip(w2, w1)]
     basis = data.a_f.hstack(data.a_e).hstack(Matrix.from_columns(field, [w1, w2]))
     q, p = symplectic_blocks(basis)

@@ -391,56 +391,7 @@ def scalar_multiple(p: MultiPoly, q: MultiPoly) -> Optional[Element]:
     return None
 
 
-# -- univariate helpers (coefficient lists, low degree first) ---------------
+# -- univariate polynomials from coefficient lists (low degree first) -------
 
 def univariate_from_coeffs(field: Field, var: str, coeffs: Sequence[Element]) -> MultiPoly:
     return MultiPoly(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
-
-
-def _trim(field: Field, coeffs: List[Element]) -> List[Element]:
-    while coeffs and field.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
-def univariate_divmod(field: Field, a: Sequence[Element],
-                      b: Sequence[Element]) -> Tuple[List[Element], List[Element]]:
-    """Quotient and remainder of univariate coefficient lists (low first)."""
-    b = _trim(field, list(b))
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = _trim(field, list(a))
-    db, lead = len(b) - 1, b[-1]
-    q = [field.zero()] * max(len(r) - db, 0)
-    while r and len(r) - 1 >= db:
-        f = field.div(r[-1], lead)
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] = field.sub(r[shift + i], field.mul(f, c))
-        r = _trim(field, r)
-    return _trim(field, q), r
-
-
-def univariate_mul(field: Field, a: Sequence[Element],
-                   b: Sequence[Element]) -> List[Element]:
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _trim(field, out)
-
-
-def univariate_sub(field: Field, a: Sequence[Element],
-                   b: Sequence[Element]) -> List[Element]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero()
-        y = b[i] if i < len(b) else field.zero()
-        out.append(field.sub(x, y))
-    return _trim(field, out)

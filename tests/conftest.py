@@ -99,3 +99,106 @@ def reference_validate(field, candidate):
     a_e = canonical_columns(span * a_e_coords)
     a_f = canonical_columns(span * a_f_coords)
     return RhoLagrangianData(field, span, a_e, a_f)
+
+
+# -- the determinant divisor of a pencil by elimination over k[t] -------------
+
+def _trim(field, coeffs):
+    while coeffs and field.is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
+def univariate_divmod(field, a, b):
+    """Quotient and remainder of univariate coefficient lists (low first)."""
+    b = _trim(field, list(b))
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    r = _trim(field, list(a))
+    db, lead = len(b) - 1, b[-1]
+    q = [field.zero()] * max(len(r) - db, 0)
+    while r and len(r) - 1 >= db:
+        f = field.div(r[-1], lead)
+        shift = len(r) - 1 - db
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] = field.sub(r[shift + i], field.mul(f, c))
+        r = _trim(field, r)
+    return _trim(field, q), r
+
+
+def univariate_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(field, out)
+
+
+def univariate_sub(field, a, b):
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else field.zero()
+        y = b[i] if i < len(b) else field.zero()
+        out.append(field.sub(x, y))
+    return _trim(field, out)
+
+
+def _divisor_by_elimination(field, c0, c1):
+    """The determinant divisor of the 10 x 15 pencil c0 + t*c1 by
+    unimodular elimination over the univariate polynomial ring: diagonalise
+    with division-with-remainder pivots; the product of the pivots is the
+    divisor.  The oracle of the re-based constant reduction of
+    ``epw._determinant_divisor_on_pencil``."""
+    entries = [[_trim(field, [a, b]) for a, b in zip(row0, row1)]
+               for row0, row1 in zip(c0.data, c1.data)]
+    rows, cols = 10, 15
+    divisor = [field.one()]
+    for step in range(rows):
+        while True:
+            pivot = None
+            for i in range(step, rows):
+                for j in range(step, cols):
+                    if entries[i][j] and (pivot is None
+                                          or len(entries[i][j]) < len(
+                                              entries[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                return []   # rank below 10 along the whole pencil
+            pi, pj = pivot
+            entries[step], entries[pi] = entries[pi], entries[step]
+            for row in entries:
+                row[step], row[pj] = row[pj], row[step]
+            head = entries[step][step]
+            clean = True
+            for i in range(step + 1, rows):
+                if not entries[i][step]:
+                    continue
+                q, _ = univariate_divmod(field, entries[i][step], head)
+                for j in range(step, cols):
+                    entries[i][j] = univariate_sub(
+                        field, entries[i][j],
+                        univariate_mul(field, q, entries[step][j]))
+                if entries[i][step]:
+                    clean = False
+            for j in range(step + 1, cols):
+                if not entries[step][j]:
+                    continue
+                q, _ = univariate_divmod(field, entries[step][j], head)
+                for i in range(step, rows):
+                    entries[i][j] = univariate_sub(
+                        field, entries[i][j],
+                        univariate_mul(field, q, entries[i][step]))
+                if entries[step][j]:
+                    clean = False
+            if clean:
+                break
+        divisor = univariate_mul(field, divisor, entries[step][step])
+    lead = divisor[-1]
+    inv = field.inv(lead)
+    return [field.mul(inv, c) for c in divisor]

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galecubics.cli import main
+from galecubics.cli import COMMANDS, main
 from galecubics.fields import PrimeField
 from galecubics.gale import NonSyzygeticEquation, composition_is_zero
 from galecubics.serialize import (InstanceFile, equation_from_json,
                                   equation_to_json, lagrangian_from_json,
                                   lagrangian_to_json, make_instance,
-                                  poly_from_json, poly_to_json)
+                                  poly_from_json, poly_to_json, vector_to_json)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -540,3 +540,78 @@ def test_huge_prime_is_refused_at_once():
     code, out, err = run_quiet(["gale", "dual"], too_big)
     assert code == 2 and out == ""
     assert "too large to certify" in err and err.count("\n") == 1
+
+
+# -- every subcommand in small characteristic --------------------------------
+
+SWEEP_FIELDS = ["prime:2", "prime:3", "cyclotomic3:2", "prime:5", "prime:7",
+                "rationals"]
+# the lattice commands read neither a field nor an instance (see
+# test_lattice_commands), and ``selftest all`` runs the acceptance checks
+SWEEP_COMMANDS = [[group, name] for group, name in COMMANDS
+                  if group not in ("lattice", "selftest")]
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_instance(descriptor):
+    """JSON text of a seeded instance over the field: an equation tuple, its
+    admissible subspace for L_1, a nonzero point and a line through two
+    nonzero points."""
+    from galecubics.fields import parse_field
+    from galecubics.lagrangian import SplittingError, lagrangian_from_gale
+    field = parse_field(descriptor)
+    rng = random.Random(f"sweep:{descriptor}")
+    while True:
+        eq = NonSyzygeticEquation.random(field, rng)
+        try:
+            data, _ = lagrangian_from_gale(eq, 1)
+            break
+        except SplittingError:    # dependent trailing L forms
+            continue
+
+    def covector():
+        while True:
+            vec = [field.random(rng) for _ in range(6)]
+            if any(not field.is_zero(c) for c in vec):
+                return vector_to_json(field, vec)
+
+    return json.dumps(make_instance(field, eq, data, extra={
+        "point": covector(), "line": [covector(), covector()]}))
+
+
+@pytest.mark.parametrize("descriptor", SWEEP_FIELDS)
+def test_every_subcommand_exits_cleanly_in_small_characteristic(descriptor):
+    text = sweep_instance(descriptor)
+    for argv in SWEEP_COMMANDS:
+        code, _, err = run_quiet(argv + ["--field", descriptor, "--samples", "2"],
+                                 text)
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["a4", "emit", "--field", "prime:3"],
+    ["a4", "verify", "--field", "prime:3"],
+    ["a4", "verify", "--field", "cyclotomic3:2"],
+    ["lagrangian", "from-gale", "--field", "cyclotomic3:2"],
+])
+def test_unsupported_characteristic_exits_2(argv):
+    code, out, err = run_quiet(argv, sweep_instance("cyclotomic3:2"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "characteristic other than 2" in err
+
+
+@pytest.mark.parametrize("descriptor, code", [("prime:5", 2), ("prime:7", 1)])
+def test_line_degree_on_a_coordinate_plane(descriptor, code):
+    # every point of the pencil is a member: over GF(7) seven of them show
+    # that the divisor is zero, over GF(5) the six points of P^1 do not
+    payload = json.loads(sweep_instance(descriptor))
+    payload["line"] = [[0, 0, 0, 1, 2, 3], [0, 0, 0, 0, 1, 4]]
+    got, out, err = run_quiet(["epw", "line-degree"], json.dumps(payload))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and "undecided" in err
+    else:
+        assert err == "" and json.loads(out)["polynomial"] == []

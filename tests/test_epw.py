@@ -19,7 +19,9 @@ from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.gale import NonSyzygeticEquation
 from galecubics.lagrangian import lagrangian_from_gale
 from galecubics.linalg import Matrix
-from galecubics.poly import (_trim, univariate_divmod, univariate_from_coeffs)
+from galecubics.poly import univariate_from_coeffs
+
+from conftest import _divisor_by_elimination, _trim, univariate_divmod
 
 
 FIELD = PrimeField(101)
@@ -150,7 +152,7 @@ def rank_scan_oracle(data, p0, p1):
     return out
 
 
-@pytest.mark.parametrize("p", [7, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_pencil_scan_matches_rank_scan(p):
     # every L choice on both signs; per instance three random pencils, one
     # with p1 on a coordinate plane (a member at t = infinity) and one
@@ -364,21 +366,13 @@ def test_line_degree_matches_determinant_divisor():
 
 @pytest.mark.parametrize("field", [PrimeField(7), FIELD, QQ],
                          ids=lambda f: f.descriptor)
-def test_constant_reduction_matches_elimination(field, monkeypatch):
-    # every L choice on both signs; per instance random pencils (the
-    # constant reduction), and either p1 on a coordinate plane (a root at
-    # t = infinity) or the pencil inside a coordinate plane (zero divisor),
-    # which both take the k[t] elimination; over QQ the pencils have small
-    # integer coordinates and there is one random pencil per instance, since
-    # the elimination oracle takes about 0.3 s on each
-    elimination = epw._divisor_by_elimination
-    ran_elimination = []
-
-    def traced(*args):
-        ran_elimination[-1] = True
-        return elimination(*args)
-
-    monkeypatch.setattr(epw, "_divisor_by_elimination", traced)
+def test_constant_reduction_matches_elimination(field):
+    # every L choice on both signs; per instance random pencils, and either
+    # p1 on a coordinate plane (a root at t = infinity, so the pencil is
+    # re-based) or the pencil inside a coordinate plane (zero divisor, seven
+    # members); over QQ the pencils have small integer coordinates and there
+    # is one random pencil per instance, since the elimination oracle takes
+    # about 0.3 s on each
     rng = random.Random(60 + field.characteristic)
     coordinate = (lambda: field.from_int(rng.randint(-3, 3))) if field == QQ else (
         lambda: field.random(rng))
@@ -401,21 +395,61 @@ def test_constant_reduction_matches_elimination(field, monkeypatch):
         else:
             pencils.append((data, sigma_prime_plane_point(field, plane[:3]),
                             sigma_prime_plane_point(field, plane[3:])))
-    degrees = []
+    degrees, members = [], []
     for data, p0, p1 in pencils:
-        ran_elimination.append(False)
         got = epw_line_degree(data, p0, p1)
-        expected = elimination(data.field,
-                               contraction_matrix(data, p0.coords).transpose(),
-                               contraction_matrix(data, p1.coords).transpose())
+        expected = _divisor_by_elimination(
+            data.field, contraction_matrix(data, p0.coords).transpose(),
+            contraction_matrix(data, p1.coords).transpose())
         assert (univariate_coeffs(got) == expected) if expected else got.is_zero()
-        assert ran_elimination[-1] == epw_contains(data, p1)[0]
         degrees.append(len(expected) - 1)
-    assert False in ran_elimination and True in ran_elimination
+        members.append(epw_contains(data, p1)[0])
+        assert (degrees[-1] < 6) == members[-1]
+    assert False in members and True in members
     step = per_instance + 1
-    assert all(d == 6 for d, slow in zip(degrees, ran_elimination) if not slow)
+    assert all(d == 6 for d, member in zip(degrees, members) if not member)
     assert degrees[per_instance::2 * step] == [-1] * 3
     assert degrees[per_instance + step::2 * step] == [5] * 3
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_swapped_pencil_matches_elimination(p):
+    # the first seeded pencil whose points p1 + c*p0 are all members and p0
+    # is not: only the swapped pencil p1 + u*p0 reaches its divisor
+    field = PrimeField(p)
+    rng = random.Random(f"swap:{p}")
+    for _ in range(200):
+        try:
+            data, _ = lagrangian_from_gale(NonSyzygeticEquation.random(field, rng), 1)
+            p0, p1 = (EPWPoint.make(field, [field.random(rng) for _ in range(6)])
+                      for _ in range(2))
+        except ValueError:
+            continue
+        shifted = [[field.add(b, field.mul(c, a)) for a, b in zip(p0.coords, p1.coords)]
+                   for c in field.elements()]
+        if (not epw_contains(data, p0)[0]
+                and all(contraction_matrix(data, q).rank() < 10 for q in shifted)):
+            break
+    else:
+        pytest.fail("no pencil needs the swap")
+    expected = _divisor_by_elimination(
+        field, contraction_matrix(data, p0.coords).transpose(),
+        contraction_matrix(data, p1.coords).transpose())
+    assert univariate_coeffs(epw_line_degree(data, p0, p1)) == expected
+    assert len(expected) < 7
+
+
+def test_line_degree_is_undecided_on_a_plane_over_gf5():
+    # every point of P^1(GF(5)) on the pencil is a member, and a nonzero
+    # sextic can vanish at all six of them
+    field = PrimeField(5)
+    data, _ = lagrangian_from_gale(
+        NonSyzygeticEquation.random(field, random.Random(4)), 1)
+    p0 = sigma_plane_point(field, [1, 2, 3])
+    p1 = sigma_plane_point(field, [0, 1, 4])
+    with pytest.raises(ValueError, match="undecided"):
+        epw_line_degree(data, p0, p1)
+    assert [t for t, _ in epw_points_on_line(data, p0, p1)] == [0, 1, 2, 3, 4, None]
 
 
 def test_line_through_plane_point_has_that_root():
