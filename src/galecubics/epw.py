@@ -40,8 +40,8 @@ from .groebner import buchberger, is_zero_dim_cone
 from .invariants import LEX3_VARIABLES
 from .lagrangian import RhoLagrangianData
 from .linalg import Matrix, sparse_echelon
-from .poly import (MultiPoly, PolyRing, monomials_of_degree, scalar_multiple,
-                   univariate_from_coeffs)
+from .poly import (MultiPoly, PolyRing, Substitution, monomials_of_degree,
+                   scalar_multiple, univariate_from_coeffs)
 
 
 @dataclass(frozen=True)
@@ -336,18 +336,9 @@ def sigma_prime_plane_point(field: Field, e: Sequence[Element]) -> EPWPoint:
 def sigma_planes_disjoint(field: Field) -> bool:
     """The two coordinate planes have no common projective point: their
     combined row-reduced systems already cut out the whole space."""
-    rows = []
-    for i in range(3):
-        row = [field.zero()] * 6
-        row[i] = field.one()
-        rows.append(row)
-    sigma = ProjectiveSubspace.from_forms(field, tuple("XYZUVW"), rows)
-    rows2 = []
-    for i in range(3, 6):
-        row = [field.zero()] * 6
-        row[i] = field.one()
-        rows2.append(row)
-    sigma_prime = ProjectiveSubspace.from_forms(field, tuple("XYZUVW"), rows2)
+    unit = Matrix.identity(field, 6).data
+    sigma = ProjectiveSubspace.from_forms(field, tuple("XYZUVW"), unit[:3])
+    sigma_prime = ProjectiveSubspace.from_forms(field, tuple("XYZUVW"), unit[3:])
     return sigma.forms.vstack(sigma_prime.forms).rank() == 6
 
 
@@ -628,14 +619,14 @@ def line_to_epw(eq: NonSyzygeticEquation, i: int,
         raise LineCorrespondenceError("line and coordinate line do not span "
                                       "a plane")
     plane = ProjectiveSubspace.from_points(field, eq.variables, span_pts)
-    n = plane.parametrization()
-    ell = l_i.linear_substitution(n, PLANE_VARIABLES)
+    restrict = Substitution.linear(field, plane.parametrization().data,
+                                   PLANE_VARIABLES).pull_back
+    ell = restrict(l_i)
     if ell.is_zero():
         raise LineCorrespondenceError("L_i vanishes on the spanned plane")
     e = []
     for row in mf:
-        form = MultiPoly.linear_form(field, eq.variables, row)
-        restricted = form.linear_substitution(n, PLANE_VARIABLES)
+        restricted = restrict(MultiPoly.linear_form(field, eq.variables, row))
         if restricted.is_zero():
             e.append(field.zero())
             continue
@@ -708,9 +699,9 @@ def decomposability_quadrics(data: RhoLagrangianData) -> List[MultiPoly]:
     cols_lex = Matrix.from_columns(field, [
         lex3_coordinates(from_frame_coordinates(field, data.matrix.column(j)))
         for j in range(10)])                                      # 20 x 10
-    return list(_first_up_to_sign(
-        q.linear_substitution(cols_lex, AVARS)
-        for q in _universal_decomposability_quadrics(field)))
+    return list(_first_up_to_sign(map(
+        Substitution.linear(field, cols_lex.data, AVARS).pull_back,
+        _universal_decomposability_quadrics(field))))
 
 
 def _groebner_prime(quadrics: Sequence[MultiPoly]) -> int:

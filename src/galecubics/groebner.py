@@ -2,8 +2,8 @@
 the certificate that a subspace holds no decomposable vector.
 
 Degrevlex only.  Prime fields only: coefficient growth over the rationals
-is a deliberate non-goal, and smoothness over the rationals is certified
-by a good prime reduction instead (upper-semicontinuity of singular loci).
+is a deliberate non-goal; to certify a rational cubic smooth, the caller
+reduces it at a good prime (upper-semicontinuity of singular loci).
 
 ``buchberger`` installs pairs by the Gebauer-Moeller update (Gebauer and
 Moeller 1988, in the form of Becker and Weispfenning's UPDATE): of the new

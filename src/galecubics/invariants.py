@@ -15,14 +15,15 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .exterior import (ExteriorElement, frame_covector, induced_grade3_matrix,
+from .exterior import (ExteriorElement, frame_covector, grade3_minors,
                        lex3_coordinates, from_frame_coordinates)
 from .fields import Element, Field
 from .gale import NonSyzygeticEquation
 from .lagrangian import (QPPresentation, RhoLagrangianData, adapted_presentation,
                          equations_from_hats)
 from .linalg import Matrix
-from .poly import DET3_TERMS, MultiPoly, cubic_from_terms, scalar_multiple
+from .poly import (DET3_TERMS, MultiPoly, Substitution, cubic_from_terms,
+                   scalar_multiple)
 
 LEX3_VARIABLES: Tuple[str, ...] = tuple(f"y{i}" for i in range(20))
 PROJECTED_VARIABLES: Tuple[str, ...] = tuple(f"X{i}" for i in range(10))
@@ -142,11 +143,9 @@ def invariance_report(field: Field, g: Sequence[Sequence[Element]],
                       h: Sequence[Sequence[Element]]) -> InvarianceReport:
     """Observed scalar of each candidate generator under the induced action
     of (g, h); a scalar of one means the polynomial is fixed."""
-    action = induced_grade3_matrix(field, block_diagonal6(field, g, h),
-                                   coords="lex3")
-    images = [MultiPoly.linear_form(field, LEX3_VARIABLES, row)
-              for row in action.data]
-    scalars = {name: scalar_multiple(poly.subs(images), poly)
+    rows, den = grade3_minors(field, block_diagonal6(field, g, h), "lex3")
+    pull_back = Substitution.linear(field, rows, LEX3_VARIABLES, den).pull_back
+    scalars = {name: scalar_multiple(pull_back(poly), poly)
                for name, poly in generator_candidates(field).items()}
     one = field.one()
     return InvarianceReport(scalars, {name: c == one for name, c in scalars.items()})
@@ -192,10 +191,9 @@ def project_cubics(data: RhoLagrangianData,
     basis = pres.adapted_basis()
     cols_lex = [lex3_coordinates(from_frame_coordinates(field, basis.column(j)))
                 for j in range(10)]
-    restriction = Matrix.from_columns(field, cols_lex)     # 20 x 10
-    xt_e, xt_f = big_cubics(field)
-    restricted_e = xt_e.linear_substitution(restriction, PROJECTED_VARIABLES)
-    restricted_f = xt_f.linear_substitution(restriction, PROJECTED_VARIABLES)
+    restriction = Substitution.linear(field, list(zip(*cols_lex)),   # 20 x 10
+                                      PROJECTED_VARIABLES)
+    restricted_e, restricted_f = map(restriction.pull_back, big_cubics(field))
     cone_e_ok = all(restricted_e.degree_in(i) == 0 for i in range(4))
     cone_f_ok = all(restricted_f.degree_in(i) == 0 for i in range(4, 8))
 
@@ -207,13 +205,10 @@ def project_cubics(data: RhoLagrangianData,
                                     eq_minus.sign)
 
     two = field.from_int(2)
-    # eq_plus carries the involution swapping X8 and X9; undo it for the
-    # comparison with the raw restriction.
-    swap = list(range(10))
-    swap[8], swap[9] = 9, 8
+    # eq_plus carries the involution swapping X8 and X9; embedding it with
+    # the two swapped undoes it for the comparison with the raw restriction
     expected_e = eq_plus.cubic_polynomial(
-        coordinate_embedding(field, vars_e), PROJECTED_VARIABLES
-    ).permute_variables(swap)
+        coordinate_embedding(field, vars_e[:4] + ("X9", "X8")), PROJECTED_VARIABLES)
     expected_f = eq_minus.cubic_polynomial(
         coordinate_embedding(field, vars_f), PROJECTED_VARIABLES)
     report = ProjectionReport(

@@ -101,7 +101,7 @@ class QPPresentation:
     presentation came from an equation tuple, ``normalized_eq`` /
     ``normalized_dual`` are that tuple and its dual rewritten in the
     normalising coordinates ``g`` / ``h``.  ``qtp()`` is computed once
-    and shared by ``alpha()`` and ``sigma()``.
+    and shared by ``alpha()``, ``sigma()`` and their halving-free checks.
     """
 
     field: Field
@@ -135,6 +135,16 @@ class QPPresentation:
         qtp = self.qtp()
         return (qtp + qtp.transpose()).scale(_half(self.field))
 
+    def alpha_is_zero(self) -> bool:
+        """``alpha() == 0``: Q^t P is symmetric."""
+        return self.qtp() == self.qtp().transpose()
+
+    def sigma_is_normal(self) -> bool:
+        """``sigma()`` is its normal form: Q^t P + P^t Q is twice it (refused
+        in characteristic 2, where twice it is zero, as ``sigma()`` is)."""
+        _half(self.field)
+        return self.qtp() + self.qtp().transpose() == sigma_normal_form(self.field, True)
+
 
 def _half(field: Field) -> Element:
     """1/2, which the hyperbolic normal form and its checks need."""
@@ -144,12 +154,10 @@ def _half(field: Field) -> Element:
     return field.inv(field.from_int(2))
 
 
-def sigma_normal_form(field: Field) -> Matrix:
-    """Zero except for entries -1 at positions (8,9) and (9,8)."""
+def sigma_normal_form(field: Field, twice: bool = False) -> Matrix:
+    """Zero except for entries -1 (-2 when ``twice``) at (8,9) and (9,8)."""
     m = Matrix.zero(field, 10, 10)
-    neg = field.neg(field.one())
-    m.data[8][9] = neg
-    m.data[9][8] = neg
+    m.data[8][9] = m.data[9][8] = field.from_int(-2 if twice else -1)
     return m
 
 
@@ -278,7 +286,7 @@ def adapted_presentation(data: RhoLagrangianData) -> QPPresentation:
     q, p = symplectic_blocks(basis)
     qhat, phat = _hats_from_blocks(field, q, p)
     pres = QPPresentation(field, q, p, qhat, phat)
-    if pres.sigma() != sigma_normal_form(field):
+    if not pres.sigma_is_normal():
         raise SplittingError("normalization failure: sigma did not reach its "
                              "normal form")
     if not (qhat.transpose() * phat).is_zero():

@@ -3,10 +3,16 @@
 A :class:`MultiPoly` owns an ordered variable list and a term map from
 exponent tuples to nonzero raw field elements.  Variable counts in this
 package stay small (at most 20), so exponent vectors are stored densely.
-Inside :meth:`MultiPoly.subs` an exponent vector is packed into one integer,
-a slot per variable wide enough for the degree bound of the result, so a
-product of monomials is one integer addition; the dense tuples stay the
-storage format, unpacked once per result term.
+
+Every pull-back along images of the variables (``MultiPoly.subs``,
+``MultiPoly.linear_substitution`` and the callers that pull several
+polynomials back along one map) goes through one :class:`Substitution`,
+built once from the images: over QQ each image is an integer row with one
+denominator, over GF(p) ``int``s reduced once.  Its expansion packs an
+exponent vector into one integer, a slot per variable wide enough for the
+degree bound of the result, so a product of monomials is one integer
+addition; the packed rows are cached per slot width, and the dense tuples
+stay the storage format, unpacked once per result term.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from math import lcm, prod
 from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Element, Field, RationalField
+from .fields import Element, Field, PrimeField, RationalField
 from .linalg import _integer_row
 
 Monomial = Tuple[int, ...]
@@ -182,61 +188,14 @@ class MultiPoly:
 
     def subs(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute variable ``i`` by ``images[i]``; all images must share
-        one ring, which becomes the ring of the result.
-
-        Each source term is expanded factor by factor into one accumulator
-        keyed by packed monomials; over QQ the images are scaled to integers
-        and the sum is kept over one common denominator."""
-        if len(images) != len(self.variables):
-            raise ValueError("need one image per variable")
-        if not images:
-            raise ValueError("empty variable list")
-        k, target = self.field, images[0].variables
-        if any(img.field != k or img.variables != target for img in images):
-            raise ValueError("images live in different rings")
-        width = (self.total_degree()
-                 * max(img.total_degree() for img in images)).bit_length()
-        shifts = [width * j for j in range(len(target))]
-        rational = isinstance(k, RationalField)
-        rows = [list(img.terms.values()) for img in images]
-        source = list(self.terms.values())
-        if rational:
-            rows, dens = zip(*map(_integer_row, rows))
-            tdens = [c.denominator * prod(map(pow, dens, m))
-                     for m, c in self.terms.items()]
-            den = lcm(*tdens)
-            source = [c.numerator * (den // t) for c, t in zip(source, tdens)]
-        packed = [[(sum(map(lshift, m, shifts)), c) for m, c in zip(img.terms, row)]
-                  for img, row in zip(images, rows)]
-        add, mul, zero, one = k.add, k.mul, k.zero(), 1 if rational else k.one()
-        acc: Dict[int, Element] = {}
-        for mono, c in zip(self.terms, source):
-            factors = [packed[i] for i, e in enumerate(mono) for _ in range(e)]
-            left = [(0, c)]
-            for j, img in enumerate(factors or [[(0, one)]], 1):
-                dst = acc if j >= len(factors) else {}
-                get = dst.get
-                for m1, c1 in left:
-                    for m2, c2 in img:
-                        m = m1 + m2
-                        if rational:
-                            dst[m] = get(m, 0) + c1 * c2
-                        else:
-                            dst[m] = add(get(m, zero), mul(c1, c2))
-                left = dst.items()
-        mask = (1 << width) - 1
-        out = MultiPoly(k, target)
-        out.terms = {tuple([(m >> s) & mask for s in shifts]):
-                     Fraction(v, den) if rational else v
-                     for m, v in acc.items() if not k.is_zero(v)}
-        return out
+        one ring, which becomes the ring of the result."""
+        return Substitution.of(images).pull_back(self)
 
     def linear_substitution(self, a, variables: Sequence[str]) -> "MultiPoly":
         """Substitute ``x_i -> sum_k a[i][k] * y_k`` for a matrix ``a`` with
         one row per variable, ``y`` the target ``variables``: the pull-back
         along the linear map with matrix ``a``."""
-        return self.subs([MultiPoly.linear_form(self.field, variables, row)
-                          for row in a.data])
+        return Substitution.linear(self.field, a.data, variables).pull_back(self)
 
     def rename(self, variables: Sequence[str]) -> "MultiPoly":
         if len(variables) != len(self.variables):
@@ -245,16 +204,7 @@ class MultiPoly:
 
     def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
         """Image under x_i -> x_perm[i], keeping the variable names."""
-        terms = {}
-        k = self.field
-        for mono, c in self.terms.items():
-            new = [0] * len(mono)
-            for i, e in enumerate(mono):
-                new[perm[i]] += e
-            mono2 = tuple(new)
-            acc = k.add(terms.get(mono2, k.zero()), c)
-            terms[mono2] = acc
-        return MultiPoly(k, self.variables, terms)
+        return self.subs([MultiPoly.variable(self.field, self.variables, j) for j in perm])
 
     # -- division ----------------------------------------------------------
 
@@ -319,6 +269,98 @@ class MultiPoly:
             body = "*".join(factors) if factors else "1"
             bits.append(f"({c})*{body}")
         return " + ".join(bits)
+
+
+class Substitution:
+    """The pull-back along fixed images of the source variables, built once:
+    :meth:`pull_back` expands any number of polynomials along it.  An image
+    is kept as its terms, over QQ an integer row with one denominator, over
+    GF(p) ``int``s reduced once; its packed rows are cached per slot width."""
+
+    __slots__ = ("field", "variables", "degree", "_rows", "_dens", "_p", "_packed")
+
+    def __init__(self, field: Field, variables: Sequence[str],
+                 images: Sequence[Sequence[Tuple[Monomial, Element]]], den: int = 1):
+        """``images[i]``: the (exponent vector, coefficient) terms of the image
+        of variable ``i``; over QQ they may be integers over ``den``."""
+        self.field, self.variables, self._packed = field, tuple(variables), {}
+        self.degree = max((sum(m) for img in images for m, _ in img), default=0)
+        coeffs = [[c for _, c in img] for img in images]
+        self._dens, self._p = None, field.p if isinstance(field, PrimeField) else 0
+        if isinstance(field, RationalField):
+            coeffs, dens = zip(*map(_integer_row, coeffs)) if coeffs else ((), ())
+            self._dens = [d * den for d in dens]
+        elif self._p:
+            coeffs = [[c % self._p for c in row] for row in coeffs]
+        self._rows = [[(m, c) for (m, _), c in zip(img, row)]
+                      for img, row in zip(images, coeffs)]
+
+    @classmethod
+    def of(cls, images: Sequence[MultiPoly]) -> "Substitution":
+        """The substitution by polynomial images sharing one ring."""
+        if not images:
+            raise ValueError("empty variable list")
+        k, target = images[0].field, images[0].variables
+        if any(img.field != k or img.variables != target for img in images):
+            raise ValueError("images live in different rings")
+        return cls(k, target, [img.terms.items() for img in images])
+
+    @classmethod
+    def linear(cls, field: Field, rows: Sequence[Sequence[Element]],
+               variables: Sequence[str], den: int = 1) -> "Substitution":
+        """``x_i -> sum_k rows[i][k] * y_k``, ``y`` the target ``variables``
+        (over QQ, integer rows may come over one denominator ``den``)."""
+        n = len(variables)
+        if any(len(row) != n for row in rows):
+            raise ValueError("coefficient vector length mismatch")
+        units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+        return cls(field, variables, [[(units[j], c) for j, c in enumerate(row)
+                                       if not field.is_zero(c)] for row in rows], den)
+
+    def pull_back(self, poly: MultiPoly) -> MultiPoly:
+        """``poly`` with variable ``i`` replaced by image ``i``: each term
+        expanded factor by factor into one accumulator keyed by packed
+        monomials, over QQ and GF(p) on plain ``int``s (over QQ on one common
+        denominator, over GF(p) with one ``% p`` per result term)."""
+        if len(poly.variables) != len(self._rows):
+            raise ValueError("need one image per variable")
+        k, dens, p = self.field, self._dens, self._p
+        if poly.field != k:
+            raise ValueError("images live in different rings")
+        width = (poly.total_degree() * self.degree).bit_length()
+        shifts = [width * j for j in range(len(self.variables))]
+        packed = self._packed.get(width)
+        if packed is None:
+            packed = self._packed[width] = [
+                [(sum(map(lshift, m, shifts)), c) for m, c in row] for row in self._rows]
+        source = list(poly.terms.values())
+        if dens is not None:
+            tdens = [c.denominator * prod(map(pow, dens, m)) for m, c in poly.terms.items()]
+            den = lcm(*tdens)
+            source = [c.numerator * (den // t) for c, t in zip(source, tdens)]
+        integral = dens is not None or p
+        add, mul, zero, one = k.add, k.mul, k.zero(), 1 if integral else k.one()
+        acc: Dict[int, Element] = {}
+        for mono, c in zip(poly.terms, source):
+            factors = [packed[i] for i, e in enumerate(mono) if e for _ in range(e)]
+            left = [(0, c)]
+            for j, img in enumerate(factors or [[(0, one)]], 1):
+                dst = acc if j >= len(factors) else {}
+                get = dst.get
+                for m1, c1 in left:
+                    for m2, c2 in img:
+                        m = m1 + m2
+                        if integral:
+                            dst[m] = get(m, 0) + c1 * c2
+                        else:
+                            dst[m] = add(get(m, zero), mul(c1, c2))
+                left = dst.items()
+        mask = (1 << width) - 1
+        out = MultiPoly(k, self.variables)
+        out.terms = {tuple([(m >> s) & mask for s in shifts]):
+                     Fraction(v, den) if dens is not None else v % p if p else v
+                     for m, v in acc.items() if not k.is_zero(v)}
+        return out
 
 
 class PolyRing:

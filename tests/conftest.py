@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from math import lcm, prod
+from operator import lshift
 
 import pytest
 
-from galecubics.fields import QQ, PrimeField, cyclotomic3
-from galecubics.linalg import Matrix
+from galecubics.fields import QQ, PrimeField, RationalField, cyclotomic3
+from galecubics.linalg import Matrix, _integer_row
+from galecubics.poly import MultiPoly
 
 
 @pytest.fixture(params=["rationals", "prime:101", "prime:97"])
@@ -202,3 +206,58 @@ def _divisor_by_elimination(field, c0, c1):
     lead = divisor[-1]
     inv = field.inv(lead)
     return [field.mul(inv, c) for c in divisor]
+
+
+# -- the per-call packed substitution kernel --------------------------------
+
+def reference_subs(self, images):
+    """The per-call packed expansion that ``MultiPoly.subs`` ran before
+    ``poly.Substitution``, kept as the differential oracle of
+    ``Substitution.pull_back``: variable ``i`` replaced by ``images[i]``.
+
+    Each source term is expanded factor by factor into one accumulator
+    keyed by packed monomials; over QQ the images are scaled to integers
+    and the sum is kept over one common denominator."""
+    if len(images) != len(self.variables):
+        raise ValueError("need one image per variable")
+    if not images:
+        raise ValueError("empty variable list")
+    k, target = self.field, images[0].variables
+    if any(img.field != k or img.variables != target for img in images):
+        raise ValueError("images live in different rings")
+    width = (self.total_degree()
+             * max(img.total_degree() for img in images)).bit_length()
+    shifts = [width * j for j in range(len(target))]
+    rational = isinstance(k, RationalField)
+    rows = [list(img.terms.values()) for img in images]
+    source = list(self.terms.values())
+    if rational:
+        rows, dens = zip(*map(_integer_row, rows))
+        tdens = [c.denominator * prod(map(pow, dens, m))
+                 for m, c in self.terms.items()]
+        den = lcm(*tdens)
+        source = [c.numerator * (den // t) for c, t in zip(source, tdens)]
+    packed = [[(sum(map(lshift, m, shifts)), c) for m, c in zip(img.terms, row)]
+              for img, row in zip(images, rows)]
+    add, mul, zero, one = k.add, k.mul, k.zero(), 1 if rational else k.one()
+    acc = {}
+    for mono, c in zip(self.terms, source):
+        factors = [packed[i] for i, e in enumerate(mono) for _ in range(e)]
+        left = [(0, c)]
+        for j, img in enumerate(factors or [[(0, one)]], 1):
+            dst = acc if j >= len(factors) else {}
+            get = dst.get
+            for m1, c1 in left:
+                for m2, c2 in img:
+                    m = m1 + m2
+                    if rational:
+                        dst[m] = get(m, 0) + c1 * c2
+                    else:
+                        dst[m] = add(get(m, zero), mul(c1, c2))
+            left = dst.items()
+    mask = (1 << width) - 1
+    out = MultiPoly(k, target)
+    out.terms = {tuple([(m >> s) & mask for s in shifts]):
+                 Fraction(v, den) if rational else v
+                 for m, v in acc.items() if not k.is_zero(v)}
+    return out

@@ -114,12 +114,11 @@ def test_lagrangian_from_gale_fails_on_either_check(capsys, tmp_path, monkeypatc
                                                     broken):
     # exit code 1 means a check is false: either one, not only sigma
     from galecubics.lagrangian import QPPresentation
-    from galecubics.linalg import Matrix
     payload, _ = sample_instance(4)
     src = tmp_path / "eq.json"
     src.write_text(json.dumps(payload))
-    nonzero = Matrix.identity(FIELD, 10)
-    monkeypatch.setattr(QPPresentation, broken, lambda self: nonzero)
+    check = {"alpha": "alpha_is_zero", "sigma": "sigma_is_normal"}[broken]
+    monkeypatch.setattr(QPPresentation, check, lambda self: False)
     code, out, _ = run_cli(capsys, ["lagrangian", "from-gale", "-i", str(src)])
     produced = json.loads(out)
     assert code == 1
@@ -615,3 +614,11 @@ def test_line_degree_on_a_coordinate_plane(descriptor, code):
         assert out == "" and err.count("\n") == 1 and "undecided" in err
     else:
         assert err == "" and json.loads(out)["polynomial"] == []
+
+
+def test_smooth_check_refuses_the_rationals():
+    """No good-prime reduction runs inside ``smooth check``: a rational
+    instance exits 2, and the caller reduces it at a prime first."""
+    code, out, err = run_quiet(["smooth", "check"], sweep_instance("rationals"))
+    assert code == 2 and out == ""
+    assert err == "error: smoothness check runs over prime fields only\n"

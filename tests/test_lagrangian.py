@@ -64,6 +64,33 @@ def test_construction_is_admissible(fieldname):
             assert (pres.qhat.transpose() * pres.phat).is_zero()
 
 
+@pytest.mark.parametrize("fieldname", ["rationals", "prime:101", "cyclotomic3(prime:5)"])
+def test_checks_without_halving_match_alpha_and_sigma(fieldname):
+    """alpha_is_zero and sigma_is_normal read Q^t P directly; they agree
+    with alpha() and sigma() in all four combinations of outcomes, on built
+    presentations and on Q = 1 with P chosen, so that Q^t P = P."""
+    from galecubics.lagrangian import QPPresentation
+    field = parse_field(fieldname)
+    rng = random.Random(12)
+    normal = sigma_normal_form(field)
+    skew = Matrix.zero(field, 10, 10)
+    skew.data[0][3], skew.data[3][0] = field.one(), field.from_int(-1)
+    one = Matrix.identity(field, 10)
+    cases = [lagrangian_from_gale(NonSyzygeticEquation.random(field, rng), i)[1]
+             for i in (1, 2, 3)]
+    cases += [QPPresentation(field, one, p, one, one)
+              for p in (normal, normal + skew, normal + normal,
+                        Matrix.random(field, 10, 10, rng))]
+    outcomes = []
+    for pres in cases:
+        alpha_zero, sigma_normal = pres.alpha().is_zero(), pres.sigma() == normal
+        assert pres.alpha_is_zero() is alpha_zero
+        assert pres.sigma_is_normal() is sigma_normal
+        outcomes.append((alpha_zero, sigma_normal))
+    assert outcomes[2:] == [(True, True), (True, True), (False, True),
+                            (True, False), (False, False)]
+
+
 def test_same_subspace_from_both_members():
     field = PrimeField(101)
     rng = random.Random(6)

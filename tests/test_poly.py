@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_subs
 from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.linalg import Matrix
-from galecubics.poly import MultiPoly, monomials_of_degree, scalar_multiple
+from galecubics.poly import MultiPoly, Substitution, monomials_of_degree, scalar_multiple
 
 VARS = ("x", "y", "z")
 
@@ -208,10 +209,10 @@ def test_linear_substitution_matches_subs(field, n_source, n_target):
     assert zero.linear_substitution(a, target) == MultiPoly.zero(field, target)
 
 
-# The memoized-power substitution that MultiPoly.subs replaced, kept
-# verbatim as the oracle of the packed expansion kernel.
+# The memoized-power substitution that the packed expansion kernel replaced,
+# kept verbatim as a second oracle of MultiPoly.subs.
 
-def reference_subs(self, images):
+def memoized_subs(self, images):
     if len(images) != len(self.variables):
         raise ValueError("need one image per variable")
     if not images:
@@ -286,8 +287,64 @@ def test_subs_matches_reference(field):
     for source, images in substitution_cases(field, rng):
         got = source.subs(images)
         assert got.variables == images[0].variables
-        assert got == reference_subs(source, images)
+        assert got == memoized_subs(source, images)
         assert not any(field.is_zero(c) for c in got.terms.values())
+
+
+PULL_BACK_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(97), PrimeField(101),
+                    cyclotomic3(QQ), cyclotomic3(PrimeField(2))]
+
+
+def assert_same_terms(got, expected):
+    """Equal term for term: the same variables, the same terms in the same
+    order, each coefficient of the same type."""
+    assert got.variables == expected.variables
+    assert list(got.terms) == list(expected.terms)
+    for mono, c in expected.terms.items():
+        assert got.terms[mono] == c and type(got.terms[mono]) is type(c)
+
+
+@pytest.mark.parametrize("field", PULL_BACK_FIELDS, ids=lambda f: f.descriptor)
+def test_pull_back_matches_reference_subs(field):
+    """Linear and nonlinear images, zero images and constants, the zero
+    polynomial and constant sources: one fresh substitution per case."""
+    rng = random.Random(43)
+    for source, images in substitution_cases(field, rng):
+        assert_same_terms(Substitution.of(images).pull_back(source),
+                          reference_subs(source, images))
+
+
+@pytest.mark.parametrize("field", PULL_BACK_FIELDS, ids=lambda f: f.descriptor)
+def test_one_substitution_serves_degrees_3_1_2(field):
+    """One object pulls back a cubic, a linear form and a quadric in that
+    order, so each call after the first finds packed rows of another slot
+    width in its cache."""
+    rng = random.Random(47)
+    x6, y4 = names(6, "x"), names(4, "y")
+    a = Matrix.random(field, 6, 4, rng)
+    a.data[2] = [field.zero()] * 4                     # a variable sent to zero
+    linear = [MultiPoly.linear_form(field, y4, row) for row in a.data]
+    quadratic = [sampled_poly(field, rng, y4, [0, 1, 2], 5) for _ in x6]
+    for sub, images in ((Substitution.linear(field, a.data, y4), linear),
+                        (Substitution.of(quadratic), quadratic)):
+        for degree in (3, 1, 2):
+            source = sampled_poly(field, rng, x6, [degree], 8)
+            assert_same_terms(sub.pull_back(source), reference_subs(source, images))
+        assert_same_terms(sub.pull_back(MultiPoly.zero(field, x6)),
+                          MultiPoly.zero(field, y4))
+
+
+def test_linear_substitution_over_a_common_denominator():
+    """Integer rows over one denominator give the pull-back along the
+    rational rows they stand for."""
+    rng = random.Random(53)
+    x3, y5 = names(3, "x"), names(5, "y")
+    ints = [[rng.randrange(-9, 10) for _ in y5] for _ in x3]
+    ints[1] = [0] * 5
+    source = sampled_poly(QQ, rng, x3, [1, 2, 3], 10)
+    rows = [[QQ.div(QQ.from_int(v), QQ.from_int(12)) for v in row] for row in ints]
+    assert_same_terms(Substitution.linear(QQ, ints, y5, 12).pull_back(source),
+                      Substitution.linear(QQ, rows, y5).pull_back(source))
 
 
 def test_subs_rejects_images_from_another_ring():
@@ -320,3 +377,18 @@ def test_monomials_of_degree_count():
     assert len(monomials_of_degree(6, 3)) == 56
     assert len(monomials_of_degree(20, 3)) == 1540
     assert len(monomials_of_degree(20, 2)) == 210
+
+
+def test_permute_variables_moves_exponents():
+    """permute_variables, now a substitution by variables, against the
+    exponent loop it replaced (perm need not be injective)."""
+    field = PrimeField(101)
+    p = random_poly(field, random.Random(59))
+    for perm in ((1, 2, 0), (0, 0, 2), (2, 1, 0)):
+        expected = {}
+        for mono, c in p.terms.items():
+            new = [0] * len(mono)
+            for i, e in enumerate(mono):
+                new[perm[i]] += e
+            expected[tuple(new)] = field.add(expected.get(tuple(new), 0), c)
+        assert p.permute_variables(perm) == MultiPoly(field, VARS, expected)
