@@ -12,6 +12,7 @@ certificate of that containment is exactly what this module computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .exterior import ExteriorElement
@@ -77,12 +78,14 @@ def build_sigma15(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
 
 @dataclass
 class Z15Ideal:
-    """Five 4x4 Pfaffians of the skew matrix plus the invariant quadric."""
+    """Five 4x4 Pfaffians of the skew matrix plus the invariant quadric,
+    built once per field and side and shared read-only by every caller."""
 
     field: Field
-    quadrics: List[MultiPoly]
+    quadrics: Tuple[MultiPoly, ...]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def build(cls, field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
               ) -> "Z15Ideal":
         n15 = build_n15(field, side)
@@ -96,7 +99,7 @@ class Z15Ideal:
         for q in quadrics:
             if not q.is_homogeneous(2):
                 raise AssertionError("ideal generator is not a quadric")
-        return cls(field, quadrics)
+        return cls(field, tuple(quadrics))
 
 
 def ideal_membership_deg3(cubic: MultiPoly, quadrics: Sequence[MultiPoly],

@@ -191,9 +191,8 @@ def project_cubics(data: RhoLagrangianData,
     basis = pres.adapted_basis()
     cols_lex = [lex3_coordinates(from_frame_coordinates(field, basis.column(j)))
                 for j in range(10)]
-    restriction = Substitution.linear(field, list(zip(*cols_lex)),   # 20 x 10
-                                      PROJECTED_VARIABLES)
-    restricted_e, restricted_f = map(restriction.pull_back, big_cubics(field))
+    restrict = Substitution.linear(field, list(zip(*cols_lex)), PROJECTED_VARIABLES)
+    restricted_e, restricted_f = map(restrict.pull_back, big_cubics(field))
     cone_e_ok = all(restricted_e.degree_in(i) == 0 for i in range(4))
     cone_f_ok = all(restricted_f.degree_in(i) == 0 for i in range(4, 8))
 

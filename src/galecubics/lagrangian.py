@@ -140,9 +140,8 @@ class QPPresentation:
         return self.qtp() == self.qtp().transpose()
 
     def sigma_is_normal(self) -> bool:
-        """``sigma()`` is its normal form: Q^t P + P^t Q is twice it (refused
-        in characteristic 2, where twice it is zero, as ``sigma()`` is)."""
-        _half(self.field)
+        """``sigma()`` is its normal form: Q^t P + P^t Q is twice it."""
+        _half(self.field)   # refused in characteristic 2, as by sigma()
         return self.qtp() + self.qtp().transpose() == sigma_normal_form(self.field, True)
 
 

@@ -146,3 +146,13 @@ def test_membership_input_validation():
     x0 = MultiPoly.variable(field, LEX3_VARIABLES, 0)
     with pytest.raises(ValueError):
         ideal_membership_deg3(x0 * x0 * x0, [x0])  # generator not a quadric
+
+
+def test_z15_ideal_is_built_once_per_field_and_side():
+    """build is cached: one shared, read-only ideal per field and side,
+    equal to a fresh build."""
+    ideal = Z15Ideal.build(QQ, E_SIDE)
+    assert Z15Ideal.build(QQ, E_SIDE) is ideal
+    assert isinstance(ideal.quadrics, tuple)
+    assert Z15Ideal.build(QQ, F_SIDE) is not ideal
+    assert Z15Ideal.build.__func__.__wrapped__(Z15Ideal, QQ, E_SIDE) == ideal

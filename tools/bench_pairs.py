@@ -16,7 +16,8 @@ The output holds every run (its ``env`` lines and final JSON result) and,
 per workload and seed, each end-to-end metric's median, quartiles and the
 number of pairs the change won, a win being judged by the metric's
 ``better`` direction in the change's ``BENCHMARK.json``.  ``--claim W:M``
-copies that workload's summary of metric M, first seed, to the top.
+copies that workload's summary of metric M, first seed, to the top.  The
+file is rewritten after each workload and seed.
 """
 
 from __future__ import annotations
@@ -122,7 +123,19 @@ def main(argv=None) -> int:
     spec = json.loads((clones["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    runs, summary = {}, {}
+    report = {
+        "description": args.description,
+        "parent_revision": revs["parent"], "change_revision": revs["change"],
+        "machine": f"{cpu_model()} (nproc {os.cpu_count()}), Python "
+                   f"{platform.python_version()}; each side run from a fresh clone "
+                   "of its revision, byte-compiled first",
+        "script": "tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "order": "pairs alternate which side runs first: odd pairs parent first, "
+                 "even pairs change first",
+        "summary": {}, "runs": {},
+    }
     for workload, count in plan:
         for k, seed in enumerate(seeds):
             key = workload if k == 0 else f"{workload}/seed{seed}"
@@ -135,27 +148,15 @@ def main(argv=None) -> int:
                 print(f"{key} pair {i}: " + ", ".join(
                     f"{side} {pair[side]['result']['metrics'].get('items_per_s', {}).get('value', 0):.2f}"
                     for side in order), file=sys.stderr, flush=True)
-            runs[key], summary[key] = pairs, summarise(pairs, metrics)
-
-    report = {
-        "description": args.description,
-        "parent_revision": revs["parent"], "change_revision": revs["change"],
-        "machine": f"{cpu_model()} (nproc {os.cpu_count()}), Python "
-                   f"{platform.python_version()}; each side run from a fresh clone "
-                   "of its revision, byte-compiled first",
-        "script": "tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "order": "pairs alternate which side runs first: odd pairs parent first, "
-                 "even pairs change first",
-    }
-    if args.claim:
-        workload, metric = args.claim.split(":", 1)
-        report["claim"] = {"workload": workload, "metric": metric,
-                           **summary[workload][metric],
-                           "pairs": summary[workload]["pairs"]}
-    report["summary"], report["runs"] = summary, runs
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+            report["runs"][key] = pairs
+            report["summary"][key] = summarise(pairs, metrics)
+            if args.claim and args.claim.split(":")[0] == key:
+                metric = args.claim.split(":", 1)[1]
+                report["claim"] = {"workload": key, "metric": metric,
+                                   **report["summary"][key][metric],
+                                   "pairs": len(pairs)}
+            # written after every workload and seed, so a cut run keeps its pairs
+            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
