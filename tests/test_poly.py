@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_subs
 from galecubics.fields import QQ, PrimeField, cyclotomic3
 from galecubics.linalg import Matrix
 from galecubics.poly import MultiPoly, Substitution, monomials_of_degree, scalar_multiple
+
+from conftest import reference_subs
 
 VARS = ("x", "y", "z")
 
