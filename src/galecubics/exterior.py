@@ -361,27 +361,22 @@ def lex3_coordinates(x: ExteriorElement) -> List[Element]:
     return x.coordinates(GRADE3_TRIPLES)
 
 
-def grade3_minors(field: Field, g6: Sequence[Sequence[Element]],
-                  coords: str = "frame") -> Tuple[List[List[Element]], int]:
-    """The third compound matrix of a 6x6 matrix in the chosen coordinates
-    as rows over one denominator: entry (I, J) the 3x3 minor g6[I, J]
-    (Cauchy-Binet).  Over QQ the integer minors of g6 scaled by its common
-    denominator d, over d**3; over GF(p) integers reduced at the end."""
+def induced_grade3_matrix(field: Field, g6: Sequence[Sequence[Element]],
+                          coords: str = "frame") -> Matrix:
+    """Matrix of the Lambda^3 action of a 6x6 matrix in the chosen
+    coordinates: its third compound matrix, entry (I, J) the 3x3 minor
+    g6[I, J] (Cauchy-Binet).  Over QQ the minors are taken on integers, g6
+    scaled by one common denominator d, each nonzero entry one
+    ``Fraction(minor, d**3)``; over GF(p) on integers reduced at the end."""
     if coords not in COMPOUND_TABLES:
         raise ValueError("coords must be 'frame' or 'lex3'")
     if isinstance(field, RationalField):
         ints, d = _integer_row([x for row in g6 for x in row])
-        return _compound3([ints[i:i + DIM] for i in range(0, 36, DIM)], coords), d ** 3
+        d3, zero = d ** 3, field.zero()
+        minors = _compound3([ints[i:i + DIM] for i in range(0, 36, DIM)], coords)
+        return Matrix(field, [[Fraction(v, d3) if v else zero for v in row]
+                              for row in minors])
     if isinstance(field, PrimeField):
-        return [[v % field.p for v in row] for row in _compound3(g6, coords)], 1
-    return _compound3(g6, coords, field.add, field.sub, field.mul,
-                      field.is_zero, field.zero()), 1
-
-
-def induced_grade3_matrix(field: Field, g6: Sequence[Sequence[Element]],
-                          coords: str = "frame") -> Matrix:
-    """Matrix of the Lambda^3 action of a 6x6 matrix: :func:`grade3_minors`."""
-    rows, den = grade3_minors(field, g6, coords)
-    if isinstance(field, RationalField):
-        rows = [[Fraction(v, den) if v else field.zero() for v in row] for row in rows]
-    return Matrix(field, rows)
+        return Matrix(field, [[v % field.p for v in row] for row in _compound3(g6, coords)])
+    return Matrix(field, _compound3(g6, coords, field.add, field.sub, field.mul,
+                                    field.is_zero, field.zero()))

@@ -76,7 +76,7 @@ def build_sigma15(field: Field, side: Tuple[int, Tuple[int, ...]] = E_SIDE,
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Z15Ideal:
     """Five 4x4 Pfaffians of the skew matrix plus the invariant quadric,
     built once per field and side and shared read-only by every caller."""

@@ -15,7 +15,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .exterior import (ExteriorElement, frame_covector, grade3_minors,
+from .exterior import (ExteriorElement, frame_covector, induced_grade3_matrix,
                        lex3_coordinates, from_frame_coordinates)
 from .fields import Element, Field
 from .gale import NonSyzygeticEquation
@@ -143,8 +143,8 @@ def invariance_report(field: Field, g: Sequence[Sequence[Element]],
                       h: Sequence[Sequence[Element]]) -> InvarianceReport:
     """Observed scalar of each candidate generator under the induced action
     of (g, h); a scalar of one means the polynomial is fixed."""
-    rows, den = grade3_minors(field, block_diagonal6(field, g, h), "lex3")
-    pull_back = Substitution.linear(field, rows, LEX3_VARIABLES, den).pull_back
+    action = induced_grade3_matrix(field, block_diagonal6(field, g, h), "lex3")
+    pull_back = Substitution.linear(field, action.data, LEX3_VARIABLES).pull_back
     scalars = {name: scalar_multiple(pull_back(poly), poly)
                for name, poly in generator_candidates(field).items()}
     one = field.one()

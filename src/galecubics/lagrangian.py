@@ -142,7 +142,9 @@ class QPPresentation:
     def sigma_is_normal(self) -> bool:
         """``sigma()`` is its normal form: Q^t P + P^t Q is twice it."""
         _half(self.field)   # refused in characteristic 2, as by sigma()
-        return self.qtp() + self.qtp().transpose() == sigma_normal_form(self.field, True)
+        twice = sigma_normal_form(self.field)
+        twice.data[8][9] = twice.data[9][8] = self.field.from_int(-2)
+        return self.qtp() + self.qtp().transpose() == twice
 
 
 def _half(field: Field) -> Element:
@@ -153,10 +155,12 @@ def _half(field: Field) -> Element:
     return field.inv(field.from_int(2))
 
 
-def sigma_normal_form(field: Field, twice: bool = False) -> Matrix:
-    """Zero except for entries -1 (-2 when ``twice``) at (8,9) and (9,8)."""
+def sigma_normal_form(field: Field) -> Matrix:
+    """Zero except for entries -1 at positions (8,9) and (9,8)."""
     m = Matrix.zero(field, 10, 10)
-    m.data[8][9] = m.data[9][8] = field.from_int(-2 if twice else -1)
+    neg = field.neg(field.one())
+    m.data[8][9] = neg
+    m.data[9][8] = neg
     return m
 
 

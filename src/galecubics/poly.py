@@ -202,10 +202,6 @@ class MultiPoly:
             raise ValueError("variable count mismatch")
         return MultiPoly(self.field, variables, dict(self.terms))
 
-    def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
-        """Image under x_i -> x_perm[i], keeping the variable names."""
-        return self.subs([MultiPoly.variable(self.field, self.variables, j) for j in perm])
-
     # -- division ----------------------------------------------------------
 
     def divmod_linear(self, ell: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
@@ -280,16 +276,16 @@ class Substitution:
     __slots__ = ("field", "variables", "degree", "_rows", "_dens", "_p", "_packed")
 
     def __init__(self, field: Field, variables: Sequence[str],
-                 images: Sequence[Sequence[Tuple[Monomial, Element]]], den: int = 1):
+                 images: Sequence[Sequence[Tuple[Monomial, Element]]]):
         """``images[i]``: the (exponent vector, coefficient) terms of the image
-        of variable ``i``; over QQ they may be integers over ``den``."""
+        of variable ``i``."""
         self.field, self.variables, self._packed = field, tuple(variables), {}
         self.degree = max((sum(m) for img in images for m, _ in img), default=0)
         coeffs = [[c for _, c in img] for img in images]
         self._dens, self._p = None, field.p if isinstance(field, PrimeField) else 0
         if isinstance(field, RationalField):
             coeffs, dens = zip(*map(_integer_row, coeffs)) if coeffs else ((), ())
-            self._dens = [d * den for d in dens]
+            self._dens = list(dens)
         elif self._p:
             coeffs = [[c % self._p for c in row] for row in coeffs]
         self._rows = [[(m, c) for (m, _), c in zip(img, row)]
@@ -307,15 +303,14 @@ class Substitution:
 
     @classmethod
     def linear(cls, field: Field, rows: Sequence[Sequence[Element]],
-               variables: Sequence[str], den: int = 1) -> "Substitution":
-        """``x_i -> sum_k rows[i][k] * y_k``, ``y`` the target ``variables``
-        (over QQ, integer rows may come over one denominator ``den``)."""
+               variables: Sequence[str]) -> "Substitution":
+        """``x_i -> sum_k rows[i][k] * y_k``, ``y`` the target ``variables``."""
         n = len(variables)
         if any(len(row) != n for row in rows):
             raise ValueError("coefficient vector length mismatch")
         units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
         return cls(field, variables, [[(units[j], c) for j, c in enumerate(row)
-                                       if not field.is_zero(c)] for row in rows], den)
+                                       if not field.is_zero(c)] for row in rows])
 
     def pull_back(self, poly: MultiPoly) -> MultiPoly:
         """``poly`` with variable ``i`` replaced by image ``i``: each term

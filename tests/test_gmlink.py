@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -154,5 +155,7 @@ def test_z15_ideal_is_built_once_per_field_and_side():
     ideal = Z15Ideal.build(QQ, E_SIDE)
     assert Z15Ideal.build(QQ, E_SIDE) is ideal
     assert isinstance(ideal.quadrics, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ideal.quadrics = ()
     assert Z15Ideal.build(QQ, F_SIDE) is not ideal
     assert Z15Ideal.build.__func__.__wrapped__(Z15Ideal, QQ, E_SIDE) == ideal

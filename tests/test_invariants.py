@@ -251,7 +251,7 @@ def test_swapping_blocks_swaps_outputs():
     restricted_e = restrict(xt_e, cols)
     restricted_f_t = restrict(xt_f, transported)
     perm = [4, 5, 6, 7, 0, 1, 2, 3, 8, 9]
-    assert restricted_f_t.permute_variables(perm) == restricted_e
+    assert restrict(xt_f, [transported[j] for j in perm]) == restricted_e
 
 
 def test_coordinate_embedding_matches_variable_images():

@@ -335,19 +335,6 @@ def test_one_substitution_serves_degrees_3_1_2(field):
                           MultiPoly.zero(field, y4))
 
 
-def test_linear_substitution_over_a_common_denominator():
-    """Integer rows over one denominator give the pull-back along the
-    rational rows they stand for."""
-    rng = random.Random(53)
-    x3, y5 = names(3, "x"), names(5, "y")
-    ints = [[rng.randrange(-9, 10) for _ in y5] for _ in x3]
-    ints[1] = [0] * 5
-    source = sampled_poly(QQ, rng, x3, [1, 2, 3], 10)
-    rows = [[QQ.div(QQ.from_int(v), QQ.from_int(12)) for v in row] for row in ints]
-    assert_same_terms(Substitution.linear(QQ, ints, y5, 12).pull_back(source),
-                      Substitution.linear(QQ, rows, y5).pull_back(source))
-
-
 def test_subs_rejects_images_from_another_ring():
     field = PrimeField(101)
     images = [MultiPoly.variable(field, ("s", "t"), i % 2) for i in range(3)]
@@ -378,18 +365,3 @@ def test_monomials_of_degree_count():
     assert len(monomials_of_degree(6, 3)) == 56
     assert len(monomials_of_degree(20, 3)) == 1540
     assert len(monomials_of_degree(20, 2)) == 210
-
-
-def test_permute_variables_moves_exponents():
-    """permute_variables, now a substitution by variables, against the
-    exponent loop it replaced (perm need not be injective)."""
-    field = PrimeField(101)
-    p = random_poly(field, random.Random(59))
-    for perm in ((1, 2, 0), (0, 0, 2), (2, 1, 0)):
-        expected = {}
-        for mono, c in p.terms.items():
-            new = [0] * len(mono)
-            for i, e in enumerate(mono):
-                new[perm[i]] += e
-            expected[tuple(new)] = field.add(expected.get(tuple(new), 0), c)
-        assert p.permute_variables(perm) == MultiPoly(field, VARS, expected)

@@ -7,10 +7,10 @@
 Stdlib only; run from anywhere inside a git checkout.  Both revisions are
 cloned afresh into a work directory (``--workdir``, a temporary one by
 default) and byte-compiled once, so no run pays for compiling the sources.
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once per side, from the side's clone; odd pairs run the parent
-first, even pairs the change first.  ``--pairs W=N`` runs N pairs of
-workload W for each seed.
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
+once per side, from the side's clone, so the benchmark's own default sets
+the run length; odd pairs run the parent first, even pairs the change
+first.  ``--pairs W=N`` runs N pairs of workload W for each seed.
 
 The output holds every run (its ``env`` lines and final JSON result) and,
 per workload and seed, each end-to-end metric's median, quartiles and the
@@ -48,10 +48,10 @@ def checkout(source: Path, rev: str, dest: Path) -> str:
     return git("rev-parse", "HEAD", cwd=dest)
 
 
-def run_once(clone: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(clone: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed), "--trace", "0"],
         cwd=clone, text=True, capture_output=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -106,7 +106,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--pairs", action="append", required=True, metavar="W=N")
     ap.add_argument("--seed", type=int, action="append")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--claim", metavar="W:M")
     ap.add_argument("--description", default="")
     ap.add_argument("--workdir")
@@ -130,8 +129,7 @@ def main(argv=None) -> int:
                    f"{platform.python_version()}; each side run from a fresh clone "
                    "of its revision, byte-compiled first",
         "script": "tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": None,   # filled in from the first run's own env line
         "order": "pairs alternate which side runs first: odd pairs parent first, "
                  "even pairs change first",
         "summary": {}, "runs": {},
@@ -142,8 +140,13 @@ def main(argv=None) -> int:
             pairs = []
             for i in range(1, count + 1):
                 order = ("parent", "change") if i % 2 else ("change", "parent")
-                pair = {side: run_once(clones[side], workload, seed, args.seconds)
+                pair = {side: run_once(clones[side], workload, seed)
                         for side in order}
+                env = " ".join(pair[order[0]]["env"])
+                if report["command"] is None and "seconds=" in env:
+                    seconds = env.split("seconds=")[1].split()[0]
+                    report["command"] = ("python3 perfbench/run.py --workload W --seed S "
+                                         f"--trace 0 (default --seconds {seconds})")
                 pairs.append(pair)
                 print(f"{key} pair {i}: " + ", ".join(
                     f"{side} {pair[side]['result']['metrics'].get('items_per_s', {}).get('value', 0):.2f}"
