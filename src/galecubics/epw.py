@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exterior import (CONTRACTION_ROWS, GRADE3_TRIPLES, GRADE4_QUADS,
                        ExteriorElement, frame_coordinates,
                        from_frame_coordinates, lex3_coordinates)
-from .fields import Element, Field, PrimeField, RationalField, is_prime
+from .fields import Element, Field, PrimeField, RationalField, is_prime, require
 from .gale import NonSyzygeticEquation, multiplier_columns
 from .groebner import buchberger, is_zero_dim_cone
 from .invariants import LEX3_VARIABLES
@@ -283,8 +283,7 @@ def epw_points_on_line(data: RhoLagrangianData, p0: EPWPoint, p1: EPWPoint,
     divisor is undecided, every point of the pencil over GF(p) is a member,
     so it is listed like the zero divisor."""
     field = data.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("scanning requires a prime field")
+    require(field, "the pencil scan", prime=True)
     divisor = _determinant_divisor_on_pencil(data, p0, p1) or []
     p = field.p
     out = []
@@ -429,8 +428,7 @@ PLANE_VARIABLES = ("s0", "s1", "s2")
 def residual_conic(eq: NonSyzygeticEquation, i: int, p: EPWPoint) -> ResidualConic:
     """Exact division of the restricted cubic by the line equation."""
     field = eq.field
-    if field.characteristic == 2:
-        raise ValueError("conic matrices need characteristic != 2")
+    require(field, "the residual conic", exclude=(2,))
     pg = pi_gamma(eq, i, p)
     if not pg.generic():
         raise ValueError("degenerate configuration: plane or line has wrong "
@@ -745,9 +743,6 @@ def decomposable_vector_check(data: RhoLagrangianData,
                 m: c.numerator * pow(c.denominator, -1, p) % p
                 for m, c in q.terms.items()}) for q in quadrics]
             where = f" mod {p}"
-        elif not isinstance(field, PrimeField):
-            raise ValueError("the groebner certificate runs over the "
-                             "rationals and prime fields")
         gb = buchberger(quadrics)
         if is_zero_dim_cone(gb):
             return DecomposableVectorReport(
@@ -764,8 +759,7 @@ def decomposable_vector_check(data: RhoLagrangianData,
             f"{len(quadrics)} quadrics cut out more than the origin: the "
             f"subspace holds decomposable vectors over the algebraic closure")
     if method == "elimination":
-        if not isinstance(field, PrimeField):
-            raise ValueError("elimination certification runs over prime fields")
+        require(field, "the elimination certificate", prime=True)
         quadrics = decomposability_quadrics(data)
         # the cone is the origin alone as soon as the ideal contains every
         # monomial of some degree; the graded pieces are checked by exact
@@ -804,8 +798,7 @@ def harvest_epw_points(eq: NonSyzygeticEquation, i: int,
     field.  Only points usable by the conic construction are kept: both
     coordinate triples nonzero, the plane a plane, the line a line."""
     field = eq.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("harvesting scans a prime field")
+    require(field, "harvesting", prime=True)
     found: List[HarvestedPoint] = []
     seen = set()
     for _ in range(max_lines):

@@ -25,7 +25,7 @@ from .epw import (EPWPoint, ProjectiveSubspace, harvest_epw_points,
                   line_to_epw, epw_to_lines, residual_conic,
                   LineCorrespondenceError)
 from .exterior import induced_grade3_matrix
-from .fields import Element, Field, PrimeField
+from .fields import Element, Field, require
 from .gale import NonSyzygeticEquation, composition_is_zero
 from .lagrangian import (QPPresentation, RhoLagrangianData, _hats_from_blocks,
                          validate)
@@ -135,9 +135,7 @@ class A4FamilyParams:
     xi: Element
 
     def __post_init__(self):
-        if self.field.characteristic in (2, 3):
-            raise ValueError(f"the A4 family needs characteristic other than "
-                             f"2 and 3, not {self.field.characteristic}")
+        require(self.field, "the A4 family", exclude=(2, 3))
         if self.field.is_zero(self.lam):
             raise ValueError("lam must be nonzero (it appears in 1/(3 lam))")
         k = self.field
@@ -379,8 +377,6 @@ def equivariance_probe(eq: NonSyzygeticEquation, i: int,
     conic lines, and recovering the point from a transformed line matches
     transforming the recovered point."""
     field = eq.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("probing scans a prime field")
     points = harvest_epw_points(eq, i, data, rng, samples)
     if not points:
         return EquivarianceReport(0, 0, 0, 0, ["no usable membership points found"])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 Element = Any  # Fraction | int | tuple, depending on the field
 
@@ -126,6 +126,21 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field({self.descriptor})"
+
+
+class FieldError(ValueError):
+    """A construction refuses the field it was given."""
+
+
+def require(field: Field, what: str, *, prime: bool = False,
+            exclude: Tuple[int, ...] = ()) -> None:
+    """The one field check: raise :class:`FieldError` unless ``field`` is a
+    prime field (when ``prime``) of characteristic outside ``exclude``."""
+    if prime and not isinstance(field, PrimeField):
+        raise FieldError(f"{what} runs over prime fields only")
+    if field.characteristic in exclude:
+        raise FieldError(f"{what} needs characteristic other than "
+                         f"{' and '.join(map(str, exclude))}, not {field.characteristic}")
 
 
 class RationalField(Field):

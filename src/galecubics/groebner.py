@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, PrimeField
+from .fields import Field, require
 from .poly import Monomial, MultiPoly
 
 
@@ -261,8 +261,7 @@ def buchberger(gens: Sequence[MultiPoly]) -> GroebnerBasis:
     if not gens:
         raise ValueError("need at least one nonzero generator")
     field = gens[0].field
-    if not isinstance(field, PrimeField):
-        raise ValueError("prime-field coefficients only")
+    require(field, "Buchberger's algorithm", prime=True)
     p = field.p
     variables = gens[0].variables
     table = _ReducerTable((), len(variables),
@@ -394,11 +393,8 @@ def smooth_check(cubic: MultiPoly) -> bool:
     """Smoothness of the projective hypersurface over GF(p), p != 3, via
     zero-dimensionality of the cone over the Jacobian scheme.  The Euler
     relation makes the cubic itself redundant among the partials."""
-    field = cubic.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("smoothness check runs over prime fields only")
-    if field.p == 3:
-        raise ValueError("characteristic 3 is excluded (Euler relation degenerates)")
+    # characteristic 3 is excluded: the Euler relation degenerates there
+    require(cubic.field, "smoothness check", prime=True, exclude=(3,))
     if not cubic.is_homogeneous(3) or cubic.is_zero():
         raise ValueError("need a nonzero homogeneous cubic")
     partials = [cubic.derivative(i) for i in range(len(cubic.variables))]
@@ -412,8 +408,7 @@ def smooth_check(cubic: MultiPoly) -> bool:
 def vanishing_points(polys: Sequence[MultiPoly]) -> List[Tuple[int, ...]]:
     """Brute-force common vanishing locus over a prime field (small p only)."""
     field = polys[0].field
-    if not isinstance(field, PrimeField):
-        raise ValueError("prime fields only")
+    require(field, "the point search", prime=True)
     n = len(polys[0].variables)
     out = []
     from itertools import product

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .exterior import induced_grade3_matrix
-from .fields import Element, Field
+from .fields import Element, Field, require
 from .gale import NonSyzygeticEquation, dual_variable_names, gale_dual
 from .linalg import Matrix, same_column_span
 
@@ -149,9 +149,7 @@ class QPPresentation:
 
 def _half(field: Field) -> Element:
     """1/2, which the hyperbolic normal form and its checks need."""
-    if field.characteristic == 2:
-        raise SplittingError("the hyperbolic normal form needs characteristic "
-                             "other than 2")
+    require(field, "the hyperbolic normal form", exclude=(2,))
     return field.inv(field.from_int(2))
 
 

@@ -195,6 +195,26 @@ def test_fano_roundtrip_command(capsys, tmp_path):
     assert stats["attempted"] == stats["succeeded"] > 0
 
 
+def test_fano_roundtrip_counts_a_degenerate_line_as_failed():
+    # one harvested line of this valid instance lies inside L_1 = 0, so
+    # line_to_epw refuses it: the check is false, the input is not bad
+    code, out, err = run_quiet(["fano", "roundtrip", "--seed", "0"],
+                               sweep_instance("prime:7"))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"attempted": 28, "succeeded": 27}
+
+
+def test_a_key_error_is_a_bug_not_bad_input(monkeypatch):
+    from galecubics import cli
+
+    def broken(args):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr(cli, "cmd_lattice_count", broken)
+    with pytest.raises(KeyError, match="missing table entry"):
+        main(["lattice", "count"])
+
+
 def test_lattice_commands(capsys):
     code, out, _ = run_cli(capsys, ["lattice", "count"])
     assert code == 0 and out.strip() == "24"

@@ -893,40 +893,53 @@ def test_decomposable_elimination_certifies_at_degree_five():
     assert decomposable_vector_check(data, method="groebner").certified_none
 
 
+def conjugate_lines_tuple(field):
+    """A plus tuple whose conic at p = (e1, e1) is two lines conjugate over
+    QQ(sqrt 2).  The plane of p is cut out by M11 + L1, M21 and M31; make
+    them forms in X3, X4, X5, so the plane is X3 = X4 = X5 = 0.  There
+    det M = -L1 (M22 M33 - M23 M32), and the residual conic is
+    L2 L3 - M22 M33 + M23 M32, which the X0..X2 parts below make
+    X1^2 - 2 X2^2.  Every other coefficient is seeded."""
+    rng = random.Random(0)
+    rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(12)]
+    m11, m21, m22, m23, m31, m33, l1, l2, l3 = 0, 3, 4, 5, 6, 8, 9, 10, 11
+    for k in (m21, m31):
+        rows[k] = [0, 0, 0] + [rng.randint(-2, 2) for _ in range(3)]
+    rows[m11] = [-c for c in rows[l1][:3]] + [
+        rng.randint(-2, 2) - c for c in rows[l1][3:]]
+    for k, head in ((l2, [0, 1, 0]), (l3, [0, 1, 0]), (m22, [0, 0, 1]),
+                    (m33, [0, 0, 2]), (m23, [0, 0, 0])):
+        rows[k][:3] = head
+    return NonSyzygeticEquation.from_coefficients(
+        field, [[field.from_int(c) for c in row] for row in rows], 1)
+
+
 def test_rational_nonsquare_discriminant_reported():
-    field = QQ
-    rng = random.Random(16)
-    while True:
-        eq = NonSyzygeticEquation.random(field, rng)
-        if eq.sign == 1:
-            break
+    # a rational membership point whose conic has no rational line: the
+    # discriminant 8 is not a square in QQ
+    eq = conjugate_lines_tuple(QQ)
     data, _ = lagrangian_from_gale(eq, 1)
-    # rational membership points: use the coordinate plane, then perturb to a
-    # generic configuration via the conic at nearby points; here simply scan
-    # conic determinants on a pencil for a singular rational example
-    base = [field.random(rng) for _ in range(6)]
-    direction = [field.random(rng) for _ in range(6)]
-    found = None
-    for t in range(-30, 31):
-        cov = [field.add(a, field.mul(field.from_int(t), b))
-               for a, b in zip(base, direction)]
-        if all(field.is_zero(c) for c in cov):
-            continue
-        p = EPWPoint.make(field, cov)
-        if not epw_contains(data, p)[0]:
-            continue
-        try:
-            conic = residual_conic(eq, 1, p)
-        except ValueError:
-            continue
-        found = p
-        break
-    if found is None:
-        pytest.skip("no rational membership point on the sampled pencil")
-    result = epw_to_lines(eq, 1, found)
-    if result.lines is None:
-        assert result.discriminant is not None
-        assert field.sqrt(result.discriminant) is None
-    else:
-        for line in result.lines:
-            assert line_to_epw(eq, 1, line).same_point(found)
+    point = EPWPoint.make(QQ, [QQ.from_int(c) for c in (1, 0, 0, 1, 0, 0)])
+    assert epw_contains(data, point) == (True, 1)
+    assert pi_gamma(eq, 1, point).generic()
+    result = epw_to_lines(eq, 1, point)
+    assert result.conic.rank() == 2 and result.lines is None
+    assert result.discriminant == 8 and QQ.sqrt(result.discriminant) is None
+    assert result.singular_point == result.conic.singular_point_in_ambient()
+
+
+@pytest.mark.parametrize("p, splits", [(5, False), (7, True)])
+def test_conjugate_lines_split_where_two_is_a_square(p, splits):
+    # reduced mod 7, where 2 = 3^2, the two lines are defined and each goes
+    # back to the point; mod 5 they stay conjugate
+    field = PrimeField(p)
+    eq = conjugate_lines_tuple(field)
+    data, _ = lagrangian_from_gale(eq, 1)
+    point = EPWPoint.make(field, [1, 0, 0, 1, 0, 0])
+    assert epw_contains(data, point) == (True, 1)
+    result = epw_to_lines(eq, 1, point)
+    assert result.conic.rank() == 2
+    assert (field.sqrt(result.discriminant) is not None) == splits
+    assert (result.lines is not None) == splits
+    for line in result.lines or ():
+        assert line_to_epw(eq, 1, line).same_point(point)

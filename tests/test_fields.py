@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from galecubics.fields import (QQ, Cyclotomic3, PrimeField, cyclotomic3,
-                               is_prime, parse_field)
+from galecubics.fields import (QQ, Cyclotomic3, FieldError, PrimeField,
+                               cyclotomic3, is_prime, parse_field, require)
 
 from conftest import ALL_FIELDS
 
@@ -79,6 +79,27 @@ def test_extension_only_when_irreducible():
 def test_prime_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(91)
+
+
+def test_require_has_two_refusals():
+    assert issubclass(FieldError, ValueError)
+    require(PrimeField(5), "anything", prime=True, exclude=(2, 3))
+    require(QQ, "anything", exclude=(2, 3))
+    cases = [
+        (QQ, dict(prime=True), "smoothness check runs over prime fields only"),
+        (parse_field("cyclotomic3:5"), dict(prime=True),
+         "smoothness check runs over prime fields only"),
+        (PrimeField(3), dict(prime=True, exclude=(3,)),
+         "smoothness check needs characteristic other than 3, not 3"),
+        (PrimeField(3), dict(exclude=(2, 3)),
+         "smoothness check needs characteristic other than 2 and 3, not 3"),
+        (parse_field("cyclotomic3:2"), dict(exclude=(2,)),
+         "smoothness check needs characteristic other than 2, not 2"),
+    ]
+    for field, kwargs, message in cases:
+        with pytest.raises(FieldError) as info:
+            require(field, "smoothness check", **kwargs)
+        assert str(info.value) == message
 
 
 def trial_division_is_prime(n):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from galecubics import lagrangian
-from galecubics.fields import QQ, PrimeField, parse_field
+from galecubics.fields import QQ, FieldError, PrimeField, parse_field
 from galecubics.gale import NonSyzygeticEquation, composition_is_zero, gale_dual
 from galecubics.lagrangian import (LagrangianValidationError, RhoLagrangianData,
                                    SplittingError, adapted_presentation,
@@ -345,7 +345,7 @@ def reference_complement_directions(data):
 def presentation_or_error(data):
     try:
         return adapted_presentation(data)
-    except (SplittingError, ZeroDivisionError) as exc:
+    except (SplittingError, FieldError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
